@@ -31,12 +31,10 @@ __all__ = [
     "SelfDualitySign",
     "SELF_DUAL",
     "ANTI_SELF_DUAL",
-    "EULER_TOP_LAMBDAS",
     "MetricCoeffs",
     "OmegaAState",
     "TodHitchinParams",
     "ConnectionOneForm",
-    "UnresolvedFormulaError",
     "connection_coefficient",
     "connection_one_form",
     "sd_reduced_residual",
@@ -51,18 +49,10 @@ __all__ = [
     "flat_family",
     "flat_conformal_factor",
     "tod_hitchin_omega1",
-    "tod_hitchin_omega23",
     "constraint_lhs_rhs",
     "constraint_residual",
     "lambda_conformal_factor",
 ]
-
-# Outcome of the sign analysis of the curvature self-duality reduction:
-# either all three integration constants vanish (the connection-wise
-# self-dual / Euler-top branch, represented here but out of scope) or they
-# can be normalised to +-2 with product +-8, matching the branch sign.
-EULER_TOP_LAMBDAS = (0, 0, 0)
-
 
 @dataclass(frozen=True)
 class SelfDualitySign:
@@ -93,11 +83,6 @@ class SelfDualitySign:
 
 SELF_DUAL = SelfDualitySign(1)
 ANTI_SELF_DUAL = SelfDualitySign(-1)
-
-
-class UnresolvedFormulaError(NotImplementedError):
-    """Requested a closed form whose published expression is known to be
-    defective; pass allow_unresolved=True to get the placeholder anyway."""
 
 
 @dataclass(frozen=True)
@@ -272,14 +257,12 @@ class OmegaTrajectory:
     ts: list
     omegas: list
     err_ests: list
-    _solution: rk.RkSolution = None
+    _solution: rk.RkSolution
 
     def __len__(self):
         return len(self.ts)
 
     def at(self, t: float) -> tuple:
-        if self._solution is None:
-            raise ValueError("trajectory carries no dense output")
         return tuple(self._solution.at(t))
 
 
@@ -343,33 +326,6 @@ def tod_hitchin_omega1(params: TodHitchinParams, t: float) -> complex:
     if den == 0:
         raise ZeroDivisionError("characteristic theta vanishes in the denominator")
     return -0.5j * th3 * th4 * num / den
-
-
-def tod_hitchin_omega23(params: TodHitchinParams, t: float, *, allow_unresolved: bool = False):
-    """Second and third members of the family.
-
-    The closed forms wired here are placeholders: the published expressions
-    for the two members coincide verbatim, so at least one of them cannot
-    be right (three independent profiles are needed for the constraint).
-    They stay behind allow_unresolved=True and must not be used for
-    verification until a corrected form is adopted.
-    """
-    if not allow_unresolved:
-        raise UnresolvedFormulaError(
-            "Omega2/Omega3 closed forms are unresolved; pass allow_unresolved=True "
-            "to obtain the (known-defective) placeholder values"
-        )
-    if not t > 0:
-        raise ValueError("t must be positive")
-    th2, _, th4 = _thetas_at(t)
-    num = theta_char_dz(ThetaCharacteristics(params.p + 0.5, params.q + 0.5, 0.0, 1j * t))
-    den = cmath.exp(1j * math.pi * params.p) * theta_char_eval(
-        ThetaCharacteristics(params.p, params.q, 0.0, 1j * t)
-    )
-    if den == 0:
-        raise ZeroDivisionError("characteristic theta vanishes in the denominator")
-    value = 0.5j * th2 * th4 * num / den
-    return value, value
 
 
 def constraint_lhs_rhs(omega, t: float):

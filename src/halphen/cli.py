@@ -2,7 +2,8 @@
 with machine-readable JSON/CSV reports.
 
 Exit codes: 0 all residuals within tolerance, 1 residual failure,
-2 usage error, 3 numeric failure (blow-up)."""
+2 usage error or invalid value, 3 numeric failure (blow-up, vanishing
+denominator)."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import csv
 import io
 import json
 import random
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,45 +29,35 @@ EXIT_NUMERIC = 3
 
 DEFAULT_SEED = 1729
 
+# Tokens argparse should read as negative-number values.  Its own pattern
+# misses "-0.3,0.5" and reads it as an option; no option of this CLI starts
+# with "-<digit>", so the wider pattern is safe.
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters common to the subcommands; per-command
-    extras stay on the parsed namespace and are embedded in the report."""
 
-    command: str
-    tolerance: float | None = None
-    order: int | None = None
-    tau: complex | None = None
-    t0: complex | float | None = None
-    t1: complex | float | None = None
-    seed: int | None = None
-    samples: int | None = None
-    out_format: str = "json"
-    out_path: str | None = None
+# Argument types: argparse turns their ValueError into a usage error (exit 2)
+# naming the type, e.g. "invalid positive_float value: '-1'".
 
-    def __post_init__(self):
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.order is not None and self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
-    @classmethod
-    def from_args(cls, args, out_format: str) -> "RunConfig":
-        return cls(
-            command=args.command_name,
-            tolerance=getattr(args, "tol", None),
-            order=getattr(args, "order", None),
-            tau=getattr(args, "tau", None),
-            t0=getattr(args, "t0", None),
-            t1=getattr(args, "t1", None),
-            seed=getattr(args, "seed", None),
-            samples=getattr(args, "samples", None),
-            out_format=out_format,
-            out_path=args.out,
-        )
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError(text)
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def parse_complex(text: str) -> complex:
@@ -122,23 +113,31 @@ def jsonable(x):
 _INTERNAL_ARGS = ("handler", "out", "format", "fmt_default", "command_name", "group", "command")
 
 
-def make_report(command: str, args, results: dict, ok: bool, tolerance=None) -> dict:
+def make_report(args, results: dict, ok: bool) -> dict:
+    """The JSON report of one command: its name, the library version, every
+    user-facing argument, the results, the verdict and, for commands taking
+    --tol, the tolerance."""
     config = {
         k: jsonable(v)
         for k, v in sorted(vars(args).items())
         if k not in _INTERNAL_ARGS and v is not None
     }
     report = {
-        "command": command,
+        "command": args.command_name,
         "version": __version__,
         "config": config,
         "results": jsonable(results),
         "ok": bool(ok),
     }
+    tolerance = getattr(args, "tol", None)
     if tolerance is not None:
         report["tolerance"] = tolerance
     return report
 
+
+# Every handler returns (results, ok, columns): the results object of the JSON
+# report, the verdict, and the named columns of the CSV form (None for
+# commands without one; see render_csv).
 
 # -- dh ---------------------------------------------------------------------------
 
@@ -146,14 +145,14 @@ def make_report(command: str, args, results: dict, ok: bool, tolerance=None) -> 
 def cmd_dh_integrate(args):
     initial = args.initial or tuple(dh.dh_theta_solution(args.t0))
     traj = dh.dh_integrate(initial, args.t0, args.t1, tol=args.tol, max_step=args.max_step)
-    rows = [dh.DHTrajectory.csv_header()] + [list(r) for r in traj.csv_rows()]
+    columns = [("tau", traj.taus), ("t", traj.states), ("err_est", traj.err_ests)]
     results = {
         "initial": list(initial),
         "steps": len(traj) - 1,
         "endpoint": {"tau": traj.taus[-1], "state": list(traj.states[-1])},
         "max_err_est": max(traj.err_ests),
     }
-    return make_report("dh integrate", args, results, ok=True, tolerance=args.tol), rows, True
+    return results, True, columns
 
 
 def cmd_dh_theta(args):
@@ -163,9 +162,8 @@ def cmd_dh_theta(args):
     dn = dh.dh_theta_solution(args.tau - h)
     fd = [(u - d) / (2 * h) for u, d in zip(up, dn)]
     residual = max(abs(a - b) for a, b in zip(fd, dh.dh_vector_field(state)))
-    ok = residual < args.tol
     results = {"state": list(state), "ode_residual": residual}
-    return make_report("dh theta", args, results, ok, tolerance=args.tol), None, ok
+    return results, residual < args.tol, None
 
 
 # -- series -----------------------------------------------------------------------
@@ -173,14 +171,12 @@ def cmd_dh_theta(args):
 
 def cmd_series_eisenstein(args):
     s = qseries.eisenstein_series(args.k, args.order)
-    results = {"variable": "q", "series": s.to_json_dict()}
-    return make_report("series eisenstein", args, results, ok=True), None, True
+    return {"variable": "q", "series": s.to_json_dict()}, True, None
 
 
 def cmd_series_theta(args):
     s = qseries.theta_series(args.which, args.order)
-    results = {"variable": "w", "series": s.to_json_dict()}
-    return make_report("series theta", args, results, ok=True), None, True
+    return {"variable": "w", "series": s.to_json_dict()}, True, None
 
 
 # -- verify -----------------------------------------------------------------------
@@ -225,7 +221,7 @@ def cmd_verify_ramanujan(args):
             "residual_norm": numeric_norm,
         },
     }
-    return make_report("verify ramanujan", args, results, ok, tolerance=args.tol), None, ok
+    return results, ok, None
 
 
 def cmd_verify_chazy(args):
@@ -242,7 +238,7 @@ def cmd_verify_chazy(args):
         "series_order": args.order,
         "numeric_residuals": numeric,
     }
-    return make_report(args.command_name, args, results, ok, tolerance=args.tol), None, ok
+    return results, ok, None
 
 
 def cmd_verify_gauss_manin(args):
@@ -260,7 +256,7 @@ def cmd_verify_gauss_manin(args):
              "residual_max_abs": res_max}
         )
     results = {"samples_checked": args.samples, "all_exact": ok, "samples": samples[:3]}
-    return make_report("verify gauss-manin", args, results, ok), None, ok
+    return results, ok, None
 
 
 def cmd_verify_darboux(args):
@@ -274,36 +270,23 @@ def cmd_verify_darboux(args):
         ok &= good
         samples.append({"t": list(t), "residual": [r.first, r.second], "common": r.common})
     results = {"samples_checked": args.samples, "all_exact": ok, "samples": samples[:3]}
-    return make_report("verify darboux", args, results, ok), None, ok
+    return results, ok, None
 
 
 # -- bianchi ----------------------------------------------------------------------
-
-
-def _omega_csv_rows(ts, omegas, extra_headers, extra_columns):
-    header = ["t", "omega1_re", "omega1_im", "omega2_re", "omega2_im",
-              "omega3_re", "omega3_im"] + extra_headers
-    rows = [header]
-    for i, (t, om) in enumerate(zip(ts, omegas)):
-        row = [repr(float(t))]
-        for o in om:
-            row += [repr(complex(o).real), repr(complex(o).imag)]
-        row += [repr(col[i]) for col in extra_columns]
-        rows.append(row)
-    return rows
 
 
 def cmd_bianchi_flow(args):
     traj = bianchi.omega_theta_flow(
         args.initial, args.t0, args.t1, tol=args.tol, max_step=args.max_step
     )
-    rows = _omega_csv_rows(traj.ts, traj.omegas, ["err_est"], [traj.err_ests])
+    columns = [("t", traj.ts), ("omega", traj.omegas), ("err_est", traj.err_ests)]
     results = {
         "steps": len(traj) - 1,
         "endpoint": {"t": traj.ts[-1], "omega": list(traj.omegas[-1])},
         "max_err_est": max(traj.err_ests),
     }
-    return make_report("bianchi flow", args, results, ok=True, tolerance=args.tol), rows, True
+    return results, True, columns
 
 
 def cmd_bianchi_flat_family(args):
@@ -321,11 +304,10 @@ def cmd_bianchi_flat_family(args):
         field = bianchi.omega_field(omega, t)
         residuals.append(float(max(abs(a - b) for a, b in zip(fd, field))))
         factors.append(float(bianchi.flat_conformal_factor(t, args.q0, args.C)))
-    rows = _omega_csv_rows(ts, omegas, ["residual", "F"], [residuals, factors])
+    columns = [("t", ts), ("omega", omegas), ("residual", residuals), ("F", factors)]
     worst = max(residuals)
-    ok = worst < args.tol
     results = {"t_grid": ts, "max_residual": worst, "q0": args.q0, "C": args.C}
-    return make_report("bianchi flat-family", args, results, ok, tolerance=args.tol), rows, ok
+    return results, worst < args.tol, columns
 
 
 def cmd_bianchi_verify_constraint(args):
@@ -355,7 +337,7 @@ def cmd_bianchi_verify_constraint(args):
         "quadratic_scaling_ok": quad_ok,
         "theta_prefactors_ok": theta_ok,
     }
-    return make_report("bianchi verify-constraint", args, results, ok, tolerance=args.tol), None, ok
+    return results, ok, None
 
 
 # -- frobenius ----------------------------------------------------------------------
@@ -365,22 +347,20 @@ def cmd_frobenius_wdvv(args):
     jet = frobenius.modular_example_jet(args.x, frobenius.chazy_gamma_jet(args.tau))
     c, eta = frobenius.potential_third_partials(jet)
     residual = frobenius.wdvv_residual_3d(c, eta)
-    ok = residual < args.tol
     results = {"wdvv_residual": residual, "x": args.x}
-    return make_report("frobenius wdvv", args, results, ok, tolerance=args.tol), None, ok
+    return results, residual < args.tol, None
 
 
 def cmd_frobenius_cubic(args):
     jet = frobenius.chazy_gamma_jet(args.tau)
     coeffs = frobenius.dh_cubic(jet)
     distance = frobenius.dh_cubic_roots_check(args.tau)
-    ok = distance < args.tol
     results = {
         "cubic_coefficients": [complex(c) for c in coeffs],
         "root_set_distance": distance,
         "theta_solution": list(dh.dh_theta_solution(args.tau)),
     }
-    return make_report("frobenius cubic", args, results, ok, tolerance=args.tol), None, ok
+    return results, distance < args.tol, None
 
 
 # -- wiring ------------------------------------------------------------------------
@@ -396,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(sub, name, handler, command_name=None, fmt_default="json"):
         p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_VALUE  # no public hook for this
         p.set_defaults(handler=handler, command_name=command_name or name, fmt_default=fmt_default)
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="report format (default %s)" % fmt_default)
@@ -408,39 +389,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=parse_complex, required=True, help="segment end RE,IM")
     p.add_argument("--initial", type=parse_state, default=None,
                    help="initial state as 6 floats (default: theta solution at t0)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-step", type=float, default=np.inf)
+    p.add_argument("--tol", type=positive_float, default=1e-10)
+    p.add_argument("--max-step", type=positive_float, default=np.inf)
 
     p = add(dh_p, "theta", cmd_dh_theta, "dh theta")
     p.add_argument("--tau", type=parse_complex, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=positive_float, default=1e-6)
 
     series_p = top.add_parser("series").add_subparsers(dest="command", required=True)
     p = add(series_p, "eisenstein", cmd_series_eisenstein, "series eisenstein")
     p.add_argument("--k", type=int, choices=(2, 4, 6), required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=nonneg_int, required=True)
 
     p = add(series_p, "theta", cmd_series_theta, "series theta")
     p.add_argument("--which", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=nonneg_int, required=True)
 
     verify_p = top.add_parser("verify").add_subparsers(dest="command", required=True)
     p = add(verify_p, "ramanujan", cmd_verify_ramanujan, "verify ramanujan")
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--order", type=nonneg_int, default=30)
+    p.add_argument("--samples", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=positive_float, default=1e-9)
 
     p = add(verify_p, "chazy", cmd_verify_chazy, "verify chazy")
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--order", type=nonneg_int, default=30)
+    p.add_argument("--tol", type=positive_float, default=1e-8)
 
     p = add(verify_p, "gauss-manin", cmd_verify_gauss_manin, "verify gauss-manin")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add(verify_p, "darboux", cmd_verify_darboux, "verify darboux")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     bianchi_p = top.add_parser("bianchi").add_subparsers(dest="command", required=True)
@@ -448,17 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--initial", type=parse_triple, required=True, help="Omega1,Omega2,Omega3")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-step", type=float, default=np.inf)
+    p.add_argument("--tol", type=positive_float, default=1e-10)
+    p.add_argument("--max-step", type=positive_float, default=np.inf)
 
     p = add(bianchi_p, "flat-family", cmd_bianchi_flat_family, "bianchi flat-family",
             fmt_default="csv")
     p.add_argument("--t0", type=float, default=0.7)
     p.add_argument("--t1", type=float, default=2.0)
-    p.add_argument("--steps", type=int, default=14)
+    p.add_argument("--steps", type=positive_int, default=14)
     p.add_argument("--q0", type=float, required=True)
     p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=positive_float, default=1e-8)
 
     p = add(bianchi_p, "verify-constraint", cmd_bianchi_verify_constraint,
             "bianchi verify-constraint")
@@ -466,30 +447,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=parse_triple, default=None,
                    help="candidate Omega triple (default: flat family at --q0)")
     p.add_argument("--q0", type=float, default=0.3)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=positive_float, default=1e-10)
 
     frob_p = top.add_parser("frobenius").add_subparsers(dest="command", required=True)
     p = add(frob_p, "wdvv", cmd_frobenius_wdvv, "frobenius wdvv")
     p.add_argument("--tau", type=parse_complex, required=True)
     p.add_argument("--x", type=parse_complex, default=1 + 0j)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=positive_float, default=1e-8)
 
     p = add(frob_p, "chazy", cmd_verify_chazy, "frobenius chazy")
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--order", type=nonneg_int, default=30)
+    p.add_argument("--tol", type=positive_float, default=1e-8)
 
     p = add(frob_p, "cubic", cmd_frobenius_cubic, "frobenius cubic")
     p.add_argument("--tau", type=parse_complex, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=positive_float, default=1e-8)
 
     return parser
 
 
-def render_csv(rows) -> str:
+def _csv_fields(name: str, value):
+    """Header names and cells of one value: a real is NAME, a complex number
+    NAME_re,NAME_im and a triple of complex numbers NAME1_re,...,NAME3_im."""
+    if isinstance(value, complex):
+        return [name + "_re", name + "_im"], [repr(value.real), repr(value.imag)]
+    if isinstance(value, (int, float)):
+        return [name], [repr(float(value))]
+    fields = [_csv_fields("%s%d" % (name, i), complex(v)) for i, v in enumerate(value, 1)]
+    return [h for header, _ in fields for h in header], [c for _, cells in fields for c in cells]
+
+
+def render_csv(columns) -> str:
+    """The CSV form of a tabular report: columns is a list of (name, values)
+    with one value per row, and every cell is a float repr."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    for row in rows:
-        writer.writerow(row)
+    for i, row in enumerate(zip(*(values for _, values in columns))):
+        fields = [_csv_fields(name, v) for (name, _), v in zip(columns, row)]
+        if i == 0:
+            writer.writerow([h for header, _ in fields for h in header])
+        writer.writerow([c for _, cells in fields for c in cells])
     return buf.getvalue()
 
 
@@ -498,21 +495,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fmt = args.format or args.fmt_default
     try:
-        RunConfig.from_args(args, fmt)
+        results, ok, columns = args.handler(args)
     except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        report, rows, ok = args.handler(args)
-    except IntegrationBlowUp as exc:
+        print("invalid input: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except (ZeroDivisionError, IntegrationBlowUp) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 
     if fmt == "csv":
-        if rows is None:
+        if columns is None:
             parser.error("command %r has no CSV form" % args.command_name)
-        payload = render_csv(rows)
+        payload = render_csv(columns)
     else:
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(make_report(args, results, ok), indent=2, sort_keys=True) + "\n"
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

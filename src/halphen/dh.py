@@ -19,15 +19,13 @@ with purely rational coefficients.  T_i = (1/2) w d/dw log theta_{i+1}.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import rk
-from .qseries import PiGradedQSeries, _tau_complex, theta_numeric, theta_series
+from .qseries import PiGradedQSeries, _tau_complex, log_unit, theta_numeric, theta_series
 
 __all__ = [
     "DHState",
@@ -109,64 +107,19 @@ class DHTrajectory:
     taus: list
     states: list
     err_ests: list
-    _tau0: complex = 0j
-    _dtau: complex = 0j
-    _solution: rk.RkSolution = None
+    _tau0: complex
+    _dtau: complex
+    _solution: rk.RkSolution
 
     def __len__(self):
         return len(self.taus)
 
-    def points(self):
-        return list(zip(self.taus, self.states, self.err_ests))
-
     def at(self, tau) -> DHState:
         """Dense-output state at a point of the integrated segment."""
-        if self._solution is None:
-            raise ValueError("trajectory carries no dense output")
         s = (tau - self._tau0) / self._dtau
         if abs(s.imag) > 1e-9:
             raise ValueError("tau=%r is not on the integrated segment" % (tau,))
         return DHState.from_seq(self._solution.at(s.real))
-
-    def to_csv(self, target) -> None:
-        """Write tau_re,tau_im,t1_re,t1_im,...,err_est rows."""
-        close = False
-        if isinstance(target, (str, bytes)):
-            fh = open(target, "w", newline="")
-            close = True
-        else:
-            fh = target
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(self.csv_header())
-            for row in self.csv_rows():
-                writer.writerow(row)
-        finally:
-            if close:
-                fh.close()
-
-    @staticmethod
-    def csv_header():
-        return [
-            "tau_re", "tau_im",
-            "t1_re", "t1_im", "t2_re", "t2_im", "t3_re", "t3_im",
-            "err_est",
-        ]
-
-    def csv_rows(self):
-        for tau, state, err in zip(self.taus, self.states, self.err_ests):
-            yield [
-                repr(tau.real), repr(tau.imag),
-                repr(state.t1.real), repr(state.t1.imag),
-                repr(state.t2.real), repr(state.t2.imag),
-                repr(state.t3.real), repr(state.t3.imag),
-                repr(err),
-            ]
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = np.inf) -> DHTrajectory:
@@ -225,16 +178,6 @@ def dh_theta_solution(tau) -> DHState:
     return DHState(*values)
 
 
-def _euler_log_derivative(s: PiGradedQSeries) -> PiGradedQSeries:
-    """w d/dw log s for a series with leading monomial c*w^m: equals
-    m + (w u')/u on the unit part u."""
-    m = s.valuation()
-    c = s.coeff(m)
-    unit = PiGradedQSeries({n - m: cc / c for n, cc in s.terms()}, s.trunc_order - m)
-    out = unit.x_ddx() * unit.reciprocal()
-    return out + PiGradedQSeries({0: m}, out.trunc_order)
-
-
 def dh_theta_solution_series(order: int):
     """Exact expansions of the closed form, normalised by pi*i.
 
@@ -246,8 +189,10 @@ def dh_theta_solution_series(order: int):
         raise ValueError("order must be >= 0")
     out = []
     for which in (2, 3, 4):
-        theta = theta_series(which, order + 1)
-        t = (_euler_log_derivative(theta) * Fraction(1, 2)).truncate(order)
+        # w d/dw log theta = m + w d/dw log u for theta = c w^m u
+        m, _, log_u = log_unit(theta_series(which, order + 1))
+        euler = log_u.x_ddx() + PiGradedQSeries({0: m}, log_u.trunc_order)
+        t = (euler * Fraction(1, 2)).truncate(order)
         out.append(t.with_pi_power(1))
     return tuple(out)
 

@@ -32,7 +32,7 @@ from itertools import permutations
 import numpy as np
 
 from .dh import dh_theta_solution
-from .qseries import eisenstein_series, eval_series, theta_q
+from .qseries import _tau_complex, eisenstein_series, eval_series, theta_q
 
 __all__ = [
     "PotentialJet",
@@ -150,7 +150,7 @@ def chazy_e2_exact(order: int):
 def chazy_gamma_jet(tau, order: int | None = None) -> GammaJet:
     """Jet of gamma = (pi*i/3) E2 at tau, from term-wise differentiated
     series: the k-th derivative scales the q^n coefficient by (2 pi i n)^k."""
-    t = complex(tau.value) if hasattr(tau, "value") else complex(tau)
+    t = _tau_complex(tau)
     if order is None:
         order = max(12, int(24.0 / t.imag) + 8)
     scale = 1j * math.pi / 3

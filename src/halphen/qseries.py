@@ -97,10 +97,6 @@ class PiGradedQSeries:
     def one(cls, trunc_order: int) -> "PiGradedQSeries":
         return cls({0: 1}, trunc_order, 0)
 
-    @classmethod
-    def monomial(cls, exponent: int, coeff, trunc_order: int, pi_power: int = 0):
-        return cls({exponent: coeff}, trunc_order, pi_power)
-
     # -- inspection --------------------------------------------------------
 
     def coeff(self, n: int) -> Fraction:

@@ -7,14 +7,12 @@ import pytest
 
 from halphen.bianchi import (
     ANTI_SELF_DUAL,
-    EULER_TOP_LAMBDAS,
     SELF_DUAL,
     ConnectionOneForm,
     MetricCoeffs,
     OmegaAState,
     SelfDualitySign,
     TodHitchinParams,
-    UnresolvedFormulaError,
     c_from_omega,
     classical_dh_omega_field,
     connection_coefficient,
@@ -31,7 +29,6 @@ from halphen.bianchi import (
     sd_reduced_residual,
     theta_A_solution,
     tod_hitchin_omega1,
-    tod_hitchin_omega23,
 )
 from halphen.dh import dh_theta_solution, dh_vector_field
 from halphen.qseries import ThetaCharacteristics, eval_series, theta_char_eval, theta_series
@@ -44,7 +41,6 @@ def test_sign_type():
     assert ANTI_SELF_DUAL.upper_lower == 1
     assert SELF_DUAL.lambdas == (2, 2, 2)
     assert ANTI_SELF_DUAL.lambdas == (-2, -2, -2)
-    assert EULER_TOP_LAMBDAS == (0, 0, 0)
     assert SelfDualitySign.coerce(-1) == ANTI_SELF_DUAL
     with pytest.raises(ValueError):
         SelfDualitySign(0)
@@ -367,14 +363,6 @@ def test_tod_hitchin_omega1_fixture():
 def test_tod_hitchin_omega1_validates():
     with pytest.raises(ValueError):
         tod_hitchin_omega1(TodHitchinParams(p=0.1, q=0.2), -1.0)
-
-
-def test_tod_hitchin_omega23_guarded():
-    params = TodHitchinParams(p=0.25, q=0.5 + 0.3j)
-    with pytest.raises(UnresolvedFormulaError):
-        tod_hitchin_omega23(params, 1.0)
-    v2, v3 = tod_hitchin_omega23(params, 1.0, allow_unresolved=True)
-    assert v2 == v3  # the placeholder exposes the defect verbatim
 
 
 def test_lambda_conformal_factor_scales_inversely():

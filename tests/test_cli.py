@@ -56,6 +56,47 @@ def test_invalid_config_values_are_usage_errors(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_negative_value_after_flag(capsys):
+    spaced = run(capsys, "dh", "theta", "--tau", "-0.3,0.5")
+    joined = run(capsys, "dh", "theta", "--tau=-0.3,0.5")
+    assert spaced == joined
+    assert spaced[0] == EXIT_OK
+    code, out = run(
+        capsys, "bianchi", "flow", "--t0", "0.7", "--t1", "1.2", "--initial", "-1,0.5,0.25"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split(",")[1] == "-1.0"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("dh theta --tau=0,-1", EXIT_USAGE),
+        ("dh integrate --t0=0,1 --t1=0,1", EXIT_USAGE),
+        ("dh integrate --t0 0,1.2 --t1 0,2 --max-step 0", EXIT_USAGE),
+        ("bianchi flat-family --q0 0.3 --steps 0", EXIT_USAGE),
+        ("bianchi flat-family --q0=-1 --t0 0.5 --t1 1.5 --steps 3", EXIT_USAGE),  # pole
+        ("bianchi flow --t0 0.7 --t1 0.5 --initial 1,0.5,0.25", EXIT_USAGE),
+        ("bianchi verify-constraint --t=-1", EXIT_USAGE),
+        ("frobenius cubic --tau=1,0", EXIT_USAGE),
+        ("frobenius wdvv --tau=1,0", EXIT_USAGE),
+        ("dh integrate --t0 0,1 --t1 2,1 --initial 1,0,1,0,1,0", EXIT_NUMERIC),  # blow-up
+    ],
+)
+def test_domain_errors_exit_codes(capsys, argv, want):
+    try:
+        code = main(argv.split())
+        usage_printed = False
+    except SystemExit as exc:  # argparse rejects the value itself and prints usage
+        code, usage_printed = exc.code, True
+    out, err = capsys.readouterr()
+    assert code == want
+    assert out == ""
+    assert err.strip()
+    if not usage_printed:
+        assert err.count("\n") == 1  # a one-line diagnostic, no traceback
+
+
 def test_verify_ramanujan(capsys):
     code, report = run_json(capsys, "verify", "ramanujan", "--order", "30")
     assert code == EXIT_OK
@@ -110,8 +151,14 @@ def test_dh_integrate_csv_default(capsys):
     code, out = run(capsys, "dh", "integrate", "--t0", "0,1.2", "--t1", "0,2", "--tol", "1e-10")
     assert code == EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[0].startswith("tau_re,tau_im,t1_re")
-    assert len(lines) > 3
+    assert lines[0] == "tau_re,tau_im,t1_re,t1_im,t2_re,t2_im,t3_re,t3_im,err_est"
+    code, report = run_json(
+        capsys, "dh", "integrate", "--t0", "0,1.2", "--t1", "0,2", "--tol", "1e-10",
+        "--format", "json",
+    )
+    assert len(lines) == report["results"]["steps"] + 2  # header + one row per mesh point
+    first = [float(x) for x in lines[1].split(",")]
+    assert first[:2] == [0.0, 1.2]
 
 
 def test_dh_integrate_json_endpoint_matches_theta(capsys):
@@ -150,7 +197,9 @@ def test_bianchi_flat_family_csv_and_gate(capsys):
     code, out = run(capsys, "bianchi", "flat-family", "--q0", "0.3", "--steps", "5")
     assert code == EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[0].endswith("residual,F")
+    assert lines[0] == (
+        "t,omega1_re,omega1_im,omega2_re,omega2_im,omega3_re,omega3_im,residual,F"
+    )
     assert len(lines) == 6
     assert "np." not in out  # cells must be plain float reprs
 

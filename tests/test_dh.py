@@ -179,17 +179,6 @@ def test_integrate_validates_arguments():
         dh_integrate((0, 0, 0), 1j, 1j, tol=1e-8)
 
 
-def test_trajectory_csv_round_trip(tmp_path):
-    traj = dh_integrate(dh_theta_solution(1.2j), 1.2j, 1.4j, tol=1e-9)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "tau_re,tau_im,t1_re,t1_im,t2_re,t2_im,t3_re,t3_im,err_est"
-    assert len(lines) == len(traj) + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[1] == pytest.approx(1.2)
-
-
 def test_state_iteration_and_from_seq():
     s = DHState(1j, 2j, 3j)
     assert tuple(s) == (1j, 2j, 3j)

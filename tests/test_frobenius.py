@@ -144,6 +144,11 @@ def test_chazy_gamma_jet_against_finite_differences():
     assert abs(jet.d3 - d3) < 1e-3
 
 
+def test_chazy_gamma_jet_rejects_real_tau():
+    with pytest.raises(ValueError):
+        chazy_gamma_jet(1 + 0j)
+
+
 def test_modular_example_reduces_to_chazy():
     # associativity residual of f = -x^4 gamma(y)/16 equals
     # (x^4/16) * chazy_residual(gamma jet).
