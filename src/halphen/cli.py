@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -36,11 +37,19 @@ _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 
 # Argument types: argparse turns their ValueError into a usage error (exit 2)
-# naming the type, e.g. "invalid positive_float value: '-1'".
+# naming the type, e.g. "invalid positive_float value: '-1'".  Every float
+# a flag takes is finite: nan and inf are no valid input to any command.
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def positive_float(text: str) -> float:
-    value = float(text)
+    value = finite_float(text)
     if not value > 0:
         raise ValueError(text)
     return value
@@ -65,12 +74,12 @@ def parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
         if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
+            return complex(finite_float(parts[0]), 0.0)
         if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+            return complex(finite_float(parts[0]), finite_float(parts[1]))
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError("expected RE,IM (got %r)" % text)
+    raise argparse.ArgumentTypeError("expected finite RE,IM (got %r)" % text)
 
 
 def parse_triple(text: str):
@@ -78,9 +87,9 @@ def parse_triple(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated values")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(finite_float(p) for p in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected three numbers (got %r)" % text)
+        raise argparse.ArgumentTypeError("expected three finite numbers (got %r)" % text)
 
 
 def parse_state(text: str):
@@ -89,9 +98,9 @@ def parse_state(text: str):
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("expected six comma-separated floats")
     try:
-        vals = [float(p) for p in parts]
+        vals = [finite_float(p) for p in parts]
     except ValueError:
-        raise argparse.ArgumentTypeError("expected numbers (got %r)" % text)
+        raise argparse.ArgumentTypeError("expected finite numbers (got %r)" % text)
     return tuple(complex(vals[2 * i], vals[2 * i + 1]) for i in range(3))
 
 
@@ -426,27 +435,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     bianchi_p = top.add_parser("bianchi").add_subparsers(dest="command", required=True)
     p = add(bianchi_p, "flow", cmd_bianchi_flow, "bianchi flow", fmt_default="csv")
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=finite_float, required=True)
+    p.add_argument("--t1", type=finite_float, required=True)
     p.add_argument("--initial", type=parse_triple, required=True, help="Omega1,Omega2,Omega3")
     p.add_argument("--tol", type=positive_float, default=1e-10)
     p.add_argument("--max-step", type=positive_float, default=np.inf)
 
     p = add(bianchi_p, "flat-family", cmd_bianchi_flat_family, "bianchi flat-family",
             fmt_default="csv")
-    p.add_argument("--t0", type=float, default=0.7)
-    p.add_argument("--t1", type=float, default=2.0)
+    p.add_argument("--t0", type=finite_float, default=0.7)
+    p.add_argument("--t1", type=finite_float, default=2.0)
     p.add_argument("--steps", type=positive_int, default=14)
-    p.add_argument("--q0", type=float, required=True)
-    p.add_argument("--C", type=float, default=1.0)
+    p.add_argument("--q0", type=finite_float, required=True)
+    p.add_argument("--C", type=finite_float, default=1.0)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
     p = add(bianchi_p, "verify-constraint", cmd_bianchi_verify_constraint,
             "bianchi verify-constraint")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite_float, required=True)
     p.add_argument("--omega", type=parse_triple, default=None,
                    help="candidate Omega triple (default: flat family at --q0)")
-    p.add_argument("--q0", type=float, default=0.3)
+    p.add_argument("--q0", type=finite_float, default=0.3)
     p.add_argument("--tol", type=positive_float, default=1e-10)
 
     frob_p = top.add_parser("frobenius").add_subparsers(dest="command", required=True)

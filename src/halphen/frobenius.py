@@ -50,6 +50,11 @@ __all__ = [
     "root_set_distance",
 ]
 
+# Largest E2 series order chazy_gamma_jet derives from tau, reached at
+# Im tau of about 0.006; nearer the real axis the order grows without bound
+# and the jet is refused instead.
+MAX_JET_ORDER = 4000
+
 
 @dataclass(frozen=True)
 class PotentialJet:
@@ -152,6 +157,11 @@ def chazy_gamma_jet(tau, order: int | None = None) -> GammaJet:
     series: the k-th derivative scales the q^n coefficient by (2 pi i n)^k."""
     t = _tau_complex(tau)
     if order is None:
+        if 24.0 / t.imag + 8 > MAX_JET_ORDER:
+            raise ValueError(
+                "tau=%r is too close to the real axis: the E2 jet would need "
+                "series order above %d" % (t, MAX_JET_ORDER)
+            )
         order = max(12, int(24.0 / t.imag) + 8)
     scale = 1j * math.pi / 3
     cur = eisenstein_series(2, order)

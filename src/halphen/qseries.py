@@ -15,6 +15,23 @@ Series carry an integer (pi*i)-power grading: a series with ``pi_power`` k
 represents (pi*i)**k times its rational coefficient part.  Identities whose
 natural statement involves powers of pi*i are first normalised to grading
 zero so they become pure rational coefficient identities.
+
+A series is stored as one positive common denominator and a dense list of
+integer numerators, one per exponent up to the truncation order, kept
+reduced (no prime divides the denominator and every numerator), so equal
+series have equal representations.  Products of two series use Kronecker
+substitution (Schoenhage 1982; Harvey, J. Symb. Comput. 2009): each
+numerator list is packed into a single big integer, one coefficient per
+fixed-width slot, and CPython's Karatsuba multiplication computes the whole
+convolution as one integer product.  A product coefficient is a sum of at
+most min(len a, len b) terms a_i * b_j, so bits(max|a|) + bits(max|b|) +
+bits(min length) bits hold its magnitude; one more bit for its sign and one
+of margin, rounded up to whole bytes for int.to_bytes/int.from_bytes, make
+a slot that holds every product coefficient exactly.  Only the low n + 1 slots of the
+product are unpacked, n the truncation order of the result: the higher
+coefficients are unknown, not zero, and being multiples of 2**(s*(n + 1))
+for a slot of s bits they vanish exactly under the mask that keeps the low
+slots.
 """
 
 from __future__ import annotations
@@ -54,17 +71,88 @@ def _as_fraction(x) -> Fraction:
     )
 
 
+def _support(num: list, n: int):
+    """(first, last) index of the nonzero entries of num[:n + 1], or None."""
+    lo = 0
+    while lo <= n and not num[lo]:
+        lo += 1
+    if lo > n:
+        return None
+    hi = n
+    while not num[hi]:
+        hi -= 1
+    return lo, hi
+
+
+def _pack(num: list, slot: int, bias_bytes: bytes) -> int:
+    """sum num[i] * 2**(8*slot*i) for signed num[i] with |num[i]| < 2**(8*slot - 1).
+
+    Each entry is stored with a bias of half a slot, so every slot holds a
+    non-negative value; the bias is then subtracted once from the whole.
+    """
+    half = 1 << (8 * slot - 1)
+    packed = b"".join([(x + half).to_bytes(slot, "little") for x in num])
+    return int.from_bytes(packed, "little") - int.from_bytes(bias_bytes[: len(packed)], "little")
+
+
+def _convolve_low(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of the integer polynomials a and b,
+    by Kronecker substitution; the module docstring gives the slot width."""
+    out = [0] * (n + 1)
+    square = a is b
+    sa, sb = _support(a, n), _support(b, n)
+    if sa is None or sb is None or sa[0] + sb[0] > n:
+        return out
+    lo = sa[0] + sb[0]
+    # entries whose every product lands above n are not packed
+    a = a[sa[0] : min(sa[1], n - sb[0]) + 1]
+    b = b[sb[0] : min(sb[1], n - sa[0]) + 1]
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 2
+    )
+    slot = (bits + 7) // 8
+    keep = min(n - lo, len(a) + len(b) - 2) + 1
+    bias_bytes = (b"\0" * (slot - 1) + b"\x80") * max(keep, len(a), len(b))
+    packed_a = _pack(a, slot, bias_bytes)
+    # CPython squares faster than it multiplies two different integers
+    packed_b = packed_a if square else _pack(b, slot, bias_bytes)
+    width = slot * keep
+    # Adding the bias makes each kept slot c_k + 2**(8*slot - 1), in range
+    # [0, 2**(8*slot)); the mask drops the slots above the kept ones.
+    biased = (packed_a * packed_b + int.from_bytes(bias_bytes[:width], "little")) & (
+        (1 << (8 * width)) - 1
+    )
+    raw = biased.to_bytes(width, "little")
+    half = 1 << (8 * slot - 1)
+    from_bytes = int.from_bytes
+    out[lo : lo + keep] = [
+        from_bytes(raw[i : i + slot], "little") - half for i in range(0, width, slot)
+    ]
+    return out
+
+
 class PiGradedQSeries:
     """Truncated formal power series with exact rational coefficients.
 
-    Represents (pi*i)**pi_power * sum_n coeffs[n] * x**n where x is the
-    producing function's expansion variable (w for theta series, q for
-    Eisenstein series).  Coefficients for exponents above ``trunc_order``
-    are unknown, not zero; arithmetic only ever claims coefficients up to
-    the smaller truncation order of its operands.
+    Represents (pi*i)**pi_power * sum_n (num[n] / den) * x**n for
+    n = 0..trunc_order, where x is the producing function's expansion
+    variable (w for theta series, q for Eisenstein series).  ``den`` is a
+    positive integer and ``num`` a list of trunc_order + 1 integers with
+    gcd(den, *num) == 1, so every series has exactly one representation.
+    Coefficients for exponents above ``trunc_order`` are unknown, not zero;
+    arithmetic only ever claims coefficients up to the smaller truncation
+    order of its operands.
+
+    The product of two series is one big-integer product of their packed
+    numerators (Kronecker substitution, see the module docstring).  Series
+    are immutable: no method changes ``num`` in place, so results may share
+    their numerator list with an operand.
     """
 
-    __slots__ = ("coeffs", "pi_power", "trunc_order")
+    __slots__ = ("num", "den", "pi_power", "trunc_order")
 
     def __init__(self, coeffs, trunc_order: int, pi_power: int = 0):
         if not isinstance(trunc_order, int) or trunc_order < 0:
@@ -78,14 +166,31 @@ class PiGradedQSeries:
                 raise ValueError("exponents must be non-negative integers, got %r" % (n,))
             if n > trunc_order:
                 continue
-            c = _as_fraction(c)
-            if c:
-                clean[n] = clean.get(n, Fraction(0)) + c
-                if not clean[n]:
-                    del clean[n]
-        self.coeffs = clean
+            clean[n] = clean.get(n, 0) + _as_fraction(c)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        num = [0] * (trunc_order + 1)
+        for n, c in clean.items():
+            num[n] = c.numerator * (den // c.denominator)
+        self.num = num
+        self.den = den
         self.pi_power = pi_power
         self.trunc_order = trunc_order
+
+    @classmethod
+    def _from_ints(cls, num: list, den: int, pi_power: int) -> "PiGradedQSeries":
+        """The series num/den (den > 0) in reduced form, without validation."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        s = object.__new__(cls)
+        s.num = num
+        s.den = den
+        s.pi_power = pi_power
+        s.trunc_order = len(num) - 1
+        return s
 
     # -- constructors -----------------------------------------------------
 
@@ -105,21 +210,27 @@ class PiGradedQSeries:
             raise ValueError(
                 "coefficient of x^%d is beyond truncation order %d" % (n, self.trunc_order)
             )
-        return self.coeffs.get(n, Fraction(0))
+        if n < 0:
+            return Fraction(0)
+        return Fraction(self.num[n], self.den)
 
     def terms(self) -> list[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs in ascending exponent order."""
-        return sorted(self.coeffs.items())
+        den = self.den
+        return [(n, Fraction(c, den)) for n, c in enumerate(self.num) if c]
 
     def valuation(self):
         """Smallest exponent with a nonzero coefficient, or None if zero."""
-        return min(self.coeffs) if self.coeffs else None
+        for n, c in enumerate(self.num):
+            if c:
+                return n
+        return None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         """Equal iff gradings match and coefficients agree up to the common order."""
@@ -127,24 +238,26 @@ class PiGradedQSeries:
             return NotImplemented
         if self.pi_power != other.pi_power:
             return False
-        n = min(self.trunc_order, other.trunc_order)
-        for k in set(self.coeffs) | set(other.coeffs):
-            if k <= n and self.coeffs.get(k, 0) != other.coeffs.get(k, 0):
-                return False
-        return True
+        n = min(self.trunc_order, other.trunc_order) + 1
+        a, b = self.num[:n], other.num[:n]
+        da, db = self.den, other.den
+        if da == db:
+            return a == b
+        return all(x * db == y * da for x, y in zip(a, b))
 
     __hash__ = None
 
     def __repr__(self) -> str:
+        terms = self.terms()
         parts = []
-        for n, c in self.terms()[:8]:
+        for n, c in terms[:8]:
             if n == 0:
                 parts.append(str(c))
             elif c == 1:
                 parts.append("x^%d" % n)
             else:
                 parts.append("%s*x^%d" % (c, n))
-        if len(self.coeffs) > 8:
+        if len(terms) > 8:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
         head = "" if self.pi_power == 0 else "(pi*i)^%d * " % self.pi_power
@@ -153,42 +266,48 @@ class PiGradedQSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "PiGradedQSeries":
-        return PiGradedQSeries(
-            {n: -c for n, c in self.coeffs.items()}, self.trunc_order, self.pi_power
-        )
+        return PiGradedQSeries._from_ints([-c for c in self.num], self.den, self.pi_power)
 
-    def __add__(self, other):
-        if not isinstance(other, PiGradedQSeries):
-            return NotImplemented
+    def _combine(self, other, sign: int) -> "PiGradedQSeries":
+        """self + sign * other over the lcm of the denominators."""
         if self.pi_power != other.pi_power:
             raise ValueError(
                 "cannot add series with pi_power %d and %d" % (self.pi_power, other.pi_power)
             )
-        n = min(self.trunc_order, other.trunc_order)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return PiGradedQSeries(out, n, self.pi_power)
+        n = min(self.trunc_order, other.trunc_order) + 1
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        a, b = self.num[:n], other.num[:n]
+        if fa == 1 and fb == 1:
+            num = [x + y for x, y in zip(a, b)]
+        elif fa == 1 and fb == -1:
+            num = [x - y for x, y in zip(a, b)]
+        else:
+            num = [x * fa + y * fb for x, y in zip(a, b)]
+        return PiGradedQSeries._from_ints(num, den, self.pi_power)
+
+    def __add__(self, other):
+        if not isinstance(other, PiGradedQSeries):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, PiGradedQSeries):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, PiGradedQSeries):
             n = min(self.trunc_order, other.trunc_order)
-            out: dict[int, Fraction] = {}
-            for i, ci in self.coeffs.items():
-                for j, cj in other.coeffs.items():
-                    k = i + j
-                    if k > n:
-                        continue
-                    out[k] = out.get(k, Fraction(0)) + ci * cj
-            return PiGradedQSeries(out, n, self.pi_power + other.pi_power)
+            a = self.num
+            b = a if other is self else other.num
+            return PiGradedQSeries._from_ints(
+                _convolve_low(a, b, n), self.den * other.den, self.pi_power + other.pi_power
+            )
         c = _as_fraction(other)
-        return PiGradedQSeries(
-            {n: cc * c for n, cc in self.coeffs.items()}, self.trunc_order, self.pi_power
+        p, q = c.numerator, c.denominator
+        return PiGradedQSeries._from_ints(
+            [x * p for x in self.num], self.den * q, self.pi_power
         )
 
     def __rmul__(self, other):
@@ -197,63 +316,82 @@ class PiGradedQSeries:
     def __pow__(self, k: int) -> "PiGradedQSeries":
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers are supported")
-        result = PiGradedQSeries({0: 1}, self.trunc_order, 0)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return PiGradedQSeries.one(self.trunc_order) if result is None else result
 
     def truncate(self, order: int) -> "PiGradedQSeries":
         if order > self.trunc_order:
             raise ValueError("cannot extend truncation order (coefficients unknown)")
-        return PiGradedQSeries(self.coeffs, order, self.pi_power)
+        return PiGradedQSeries._from_ints(self.num[: order + 1], self.den, self.pi_power)
 
     def dilate(self, m: int) -> "PiGradedQSeries":
         """Substitute x -> y**m.  All skipped exponents are exactly zero,
         so the result is valid up to m*trunc_order + m - 1."""
         if not isinstance(m, int) or m < 1:
             raise ValueError("dilation factor must be a positive integer")
-        return PiGradedQSeries(
-            {n * m: c for n, c in self.coeffs.items()},
-            m * self.trunc_order + m - 1,
-            self.pi_power,
-        )
+        num = [0] * (m * (self.trunc_order + 1))
+        num[::m] = self.num
+        return PiGradedQSeries._from_ints(num, self.den, self.pi_power)
 
     def x_ddx(self) -> "PiGradedQSeries":
         """The Euler operator x*d/dx in the series' own variable."""
-        return PiGradedQSeries(
-            {n: n * c for n, c in self.coeffs.items()}, self.trunc_order, self.pi_power
+        return PiGradedQSeries._from_ints(
+            [n * c for n, c in enumerate(self.num)], self.den, self.pi_power
         )
 
     def reciprocal(self) -> "PiGradedQSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self.coeffs.get(0, Fraction(0))
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With a = num/den and a0 = num[0], the inverse is den * b where
+        b_m = c_m / a0**(m + 1) and the integers c_m follow from
+        c_0 = 1, c_m = -sum_{k=1..m} num[k] * a0**(k - 1) * c_{m-k};
+        over the common denominator a0**(n + 1) the numerator of b_m is
+        c_m * a0**(n - m).
+        """
+        num = self.num
+        a0 = num[0]
         if not a0:
             raise ValueError("series with zero constant term has no reciprocal")
         n = self.trunc_order
-        nz = sorted(k for k in self.coeffs if 0 < k <= n)
-        b = [Fraction(0)] * (n + 1)
-        b[0] = 1 / a0
+        weights = []
+        power = 1
+        for k in range(1, n + 1):
+            if num[k]:
+                weights.append((k, num[k] * power))
+            power *= a0
+        c = [1] + [0] * n
         for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in nz:
+            acc = 0
+            for k, w in weights:
                 if k > m:
                     break
-                acc += self.coeffs[k] * b[m - k]
-            if acc:
-                b[m] = -acc / a0
-        return PiGradedQSeries(
-            {m: c for m, c in enumerate(b) if c}, n, -self.pi_power
-        )
+                acc += w * c[m - k]
+            c[m] = -acc
+        if a0 != 1:
+            power = 1
+            for m in range(n, -1, -1):
+                c[m] *= power
+                power *= a0
+        den = self.den
+        if den != 1:
+            c = [x * den for x in c]
+        out_den = a0 ** (n + 1)
+        if out_den < 0:
+            out_den = -out_den
+            c = [-x for x in c]
+        return PiGradedQSeries._from_ints(c, out_den, -self.pi_power)
 
     def with_pi_power(self, k: int) -> "PiGradedQSeries":
         """Same rational coefficients under grading k.  Relabelling the grade
         multiplies the represented value by (pi*i)**(k - pi_power)."""
-        return PiGradedQSeries(self.coeffs, self.trunc_order, k)
+        return PiGradedQSeries._from_ints(self.num, self.den, k)
 
     # -- serialization -------------------------------------------------------
 
@@ -325,22 +463,22 @@ def theta_series(which: int, order: int) -> PiGradedQSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs: dict[int, int] = {}
+    num = [0] * (order + 1)
     if which == 2:
         n = 0
         while (2 * n + 1) ** 2 <= order:
-            coeffs[(2 * n + 1) ** 2] = 2
+            num[(2 * n + 1) ** 2] = 2
             n += 1
     elif which in (3, 4):
-        coeffs[0] = 1
+        num[0] = 1
         sign = 1 if which == 3 else -1
         n = 1
         while 4 * n * n <= order:
-            coeffs[4 * n * n] = 2 * sign**n
+            num[4 * n * n] = 2 * sign**n
             n += 1
     else:
         raise ValueError("theta index must be 2, 3 or 4")
-    return PiGradedQSeries(coeffs, order)
+    return PiGradedQSeries._from_ints(num, 1, 0)
 
 
 def sigma(n: int, k: int) -> int:
@@ -367,10 +505,13 @@ def eisenstein_series(k: int, order: int) -> PiGradedQSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     b = EISENSTEIN_WEIGHT_COEFF[k]
-    coeffs = {0: 1}
-    for n in range(1, order + 1):
-        coeffs[n] = b * sigma(n, k - 1)
-    return PiGradedQSeries(coeffs, order)
+    # divisor sieve: every d adds d**(k-1) to sigma at each of its multiples
+    sig = [0] * (order + 1)
+    for d in range(1, order + 1):
+        dk = d ** (k - 1)
+        for n in range(d, order + 1, d):
+            sig[n] += dk
+    return PiGradedQSeries._from_ints([1] + [b * c for c in sig[1:]], 1, 0)
 
 
 # -- operators --------------------------------------------------------------
@@ -399,14 +540,17 @@ def log_unit(s: PiGradedQSeries):
     if m is None:
         raise ValueError("cannot take the log of a (truncation-)zero series")
     c = s.coeff(m)
-    unit = PiGradedQSeries(
-        {n - m: cc / c for n, cc in s.terms()}, s.trunc_order - m, 0
-    )
+    # u = s / (c x**m) has numerators num[m:] over the denominator num[m]
+    lead = s.num[m]
+    tail = s.num[m:]
+    unit = PiGradedQSeries._from_ints(tail if lead > 0 else [-x for x in tail], abs(lead), 0)
     euler = unit.x_ddx() * unit.reciprocal()
-    log_part = PiGradedQSeries(
-        {n: cc / n for n, cc in euler.terms() if n}, unit.trunc_order, 0
-    )
-    return m, c, log_part
+    # the x**k coefficient of log u is e_k / k: over the lcm L of the k with
+    # e_k != 0, its numerator is e_k * (L / k)
+    e = euler.num
+    lcm = math.lcm(*(k for k in range(1, len(e)) if e[k]))
+    log_num = [0] + [x * (lcm // k) if x else 0 for k, x in enumerate(e[1:], 1)]
+    return m, c, PiGradedQSeries._from_ints(log_num, euler.den * lcm, 0)
 
 
 # -- numeric evaluation ------------------------------------------------------
@@ -425,9 +569,13 @@ def eval_series(s: PiGradedQSeries, tau, var: str = "w") -> complex:
         x = cmath.exp(2j * math.pi * t)
     else:
         raise ValueError("var must be 'q' or 'w'")
+    # int true division is correctly rounded, so num[n] / den is the float
+    # nearest the coefficient whatever its representation
     acc = 0j
-    for n, c in s.terms():
-        acc += complex(c) * x**n
+    den = s.den
+    for n, c in enumerate(s.num):
+        if c:
+            acc += complex(c / den) * x**n
     return (1j * math.pi) ** s.pi_power * acc
 
 

@@ -203,3 +203,26 @@ def test_criterion_10_cross_checks(capsys):
             jacobi_ok and worst < 1e-12,
             "specialization deviation %.2e" % worst,
         )
+
+
+def test_criterion_11_exact_identities_at_order_3200(capsys):
+    n = 3200
+    checks = {
+        "ramanujan": lambda: ramanujan.ramanujan_series_residual(n),
+        "chazy": lambda: [frobenius.chazy_e2_exact(n)],
+        "theta ODE": lambda: dh.dh_series_ode_residuals(n),
+    }
+    ok = True
+    details = []
+    for name, residuals in checks.items():
+        start = time.monotonic()
+        got = residuals()
+        elapsed = time.monotonic() - start
+        ok &= elapsed < 1.0 and all(r.is_zero() and r.trunc_order == n for r in got)
+        details.append("%s %.2fs" % (name, elapsed))
+    with capsys.disabled():
+        check(
+            "criterion 11: exact identities at order 3200, each under 1 s",
+            ok,
+            ", ".join(details),
+        )

@@ -80,6 +80,13 @@ def test_negative_value_after_flag(capsys):
         ("bianchi verify-constraint --t=-1", EXIT_USAGE),
         ("frobenius cubic --tau=1,0", EXIT_USAGE),
         ("frobenius wdvv --tau=1,0", EXIT_USAGE),
+        ("frobenius wdvv --tau 0,1e-9", EXIT_USAGE),  # jet order past its cap
+        ("dh theta --tau nan,1", EXIT_USAGE),
+        ("dh theta --tau 0,inf", EXIT_USAGE),
+        ("dh integrate --t0 0,1 --t1 0,2 --tol inf", EXIT_USAGE),
+        ("dh integrate --t0 0,1 --t1 0,2 --initial 1,0,1,0,nan,0", EXIT_USAGE),
+        ("bianchi flow --t0 0.7 --t1 2 --initial 1,inf,0.25", EXIT_USAGE),
+        ("bianchi flat-family --q0 nan", EXIT_USAGE),
         ("dh integrate --t0 0,1 --t1 2,1 --initial 1,0,1,0,1,0", EXIT_NUMERIC),  # blow-up
     ],
 )

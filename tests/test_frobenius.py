@@ -149,6 +149,12 @@ def test_chazy_gamma_jet_rejects_real_tau():
         chazy_gamma_jet(1 + 0j)
 
 
+def test_chazy_gamma_jet_refuses_orders_past_the_cap():
+    with pytest.raises(ValueError, match="too close to the real axis"):
+        chazy_gamma_jet(1e-9j)
+    chazy_gamma_jet(0.0061j)  # order 3942, just below the cap
+
+
 def test_modular_example_reduces_to_chazy():
     # associativity residual of f = -x^4 gamma(y)/16 equals
     # (x^4/16) * chazy_residual(gamma jet).

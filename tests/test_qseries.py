@@ -70,6 +70,58 @@ def formal_log_oracle(unit_coeffs, order):
     return {n: c for n, c in out.items() if c}
 
 
+# Reference engine: a dict of Fractions per series, products by the naive
+# double loop, inverses by the term recurrence.  A reference series is
+# (coefficient dict, trunc_order, pi_power), built without the engine.
+
+
+def ref(s):
+    return dict(s.terms()), s.trunc_order, s.pi_power
+
+
+def naive_mul(a, b):
+    (da, na, pa), (db, nb, pb) = a, b
+    n = min(na, nb)
+    out = {}
+    for i, ci in da.items():
+        for j, cj in db.items():
+            if i + j <= n:
+                out[i + j] = out.get(i + j, Fraction(0)) + Fraction(ci) * Fraction(cj)
+    return {k: c for k, c in out.items() if c}, n, pa + pb
+
+
+def naive_add(a, b, sign=1):
+    (da, na, pa), (db, nb, _) = a, b
+    n = min(na, nb)
+    out = {k: Fraction(c) for k, c in da.items() if k <= n}
+    for k, c in db.items():
+        if k <= n:
+            out[k] = out.get(k, Fraction(0)) + sign * Fraction(c)
+    return {k: c for k, c in out.items() if c}, n, pa
+
+
+def naive_reciprocal(a):
+    d, n, p = a
+    a0 = Fraction(d[0])
+    nz = sorted(k for k in d if 0 < k <= n)
+    b = [Fraction(0)] * (n + 1)
+    b[0] = 1 / a0
+    for m in range(1, n + 1):
+        acc = sum((Fraction(d[k]) * b[m - k] for k in nz if k <= m), Fraction(0))
+        b[m] = -acc / a0
+    return {m: c for m, c in enumerate(b) if c}, n, -p
+
+
+def naive_log_unit(a):
+    """(m, c, log u) for a = c x^m u by the Euler derivative x u'/u."""
+    d, n, _ = a
+    m = min(k for k, c in d.items() if c)
+    c = Fraction(d[m])
+    unit = ({k - m: Fraction(v) / c for k, v in d.items() if v}, n - m, 0)
+    euler = naive_mul(({k: k * v for k, v in unit[0].items()}, n - m, 0), naive_reciprocal(unit))
+    return m, c, ({k: v / k for k, v in euler[0].items() if k}, n - m, 0)
+
+
 # -- generators ---------------------------------------------------------------
 
 
@@ -216,6 +268,15 @@ def test_mul_commutative_associative_distributive_random():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def test_products_match_the_naive_convolution():
+    e2, e4, e6 = (eisenstein_series(k, 60) for k in (2, 4, 6))
+    t2 = theta_series(2, 300)
+    for a, b in ((e2, e4), (e4, e6), (e6, e6), (t2, e2.dilate(8)), (t2, t2 * Fraction(-3, 7))):
+        assert ref(a * b) == naive_mul(ref(a), ref(b))
+    unit = e2 * Fraction(1, 5) + e4 * Fraction(2, 3)
+    assert ref(unit.reciprocal()) == naive_reciprocal(ref(unit))
 
 
 def test_jacobi_identity_low_order():
