@@ -21,8 +21,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import rk
 from .dh import dh_vector_field
 from .qseries import ThetaCharacteristics, theta_char_dz, theta_char_eval, theta_numeric
@@ -267,16 +265,16 @@ class OmegaTrajectory:
 
 
 def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
-                     max_step: float = np.inf) -> OmegaTrajectory:
+                     max_step: float = math.inf) -> OmegaTrajectory:
     """Integrate the Omega flow along real time with theta-pinned A."""
     if not (t0 > 0 and t1 > t0):
         raise ValueError("need 0 < t0 < t1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    y0 = np.array([complex(o) for o in initial_omega], dtype=complex)
+    y0 = [complex(o) for o in initial_omega]
 
     def f(t, y):
-        return np.asarray(omega_field(y, t), dtype=complex)
+        return omega_field(y, t)
 
     sol = rk.integrate(f, t0, t1, y0, rtol=tol, atol=tol, max_step=max_step)
     return OmegaTrajectory(

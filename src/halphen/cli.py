@@ -17,8 +17,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, bianchi, dh, frobenius, gauss_manin, qseries, ramanujan
 from .rk import IntegrationBlowUp
 from .sampling import random_distinct_state, random_state
@@ -69,6 +67,18 @@ def nonneg_int(text: str) -> int:
     return value
 
 
+# Largest --order a command accepts.  Series memory and time grow with the
+# order: eisenstein at 100000 takes about 2 s and 100 MiB.
+MAX_ORDER = 100_000
+
+
+def series_order(text: str) -> int:
+    value = nonneg_int(text)
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError("order %d exceeds the maximum %d" % (value, MAX_ORDER))
+    return value
+
+
 def parse_complex(text: str) -> complex:
     """'RE,IM' or a bare real part."""
     parts = text.split(",")
@@ -110,8 +120,6 @@ def jsonable(x):
         return "%d/%d" % (x.numerator, x.denominator)
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -299,7 +307,12 @@ def cmd_bianchi_flow(args):
 
 
 def cmd_bianchi_flat_family(args):
-    ts = [float(t) for t in np.linspace(args.t0, args.t1, args.steps)]
+    # numpy.linspace's arithmetic: t0 + i*step, the last point exactly t1
+    n = args.steps
+    step = (args.t1 - args.t0) / max(n - 1, 1)
+    ts = [args.t0 + i * step for i in range(n)]
+    if n > 1:
+        ts[-1] = args.t1
     omegas = []
     residuals = []
     factors = []
@@ -399,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", type=parse_state, default=None,
                    help="initial state as 6 floats (default: theta solution at t0)")
     p.add_argument("--tol", type=positive_float, default=1e-10)
-    p.add_argument("--max-step", type=positive_float, default=np.inf)
+    p.add_argument("--max-step", type=positive_float, default=math.inf)
 
     p = add(dh_p, "theta", cmd_dh_theta, "dh theta")
     p.add_argument("--tau", type=parse_complex, required=True)
@@ -408,21 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
     series_p = top.add_parser("series").add_subparsers(dest="command", required=True)
     p = add(series_p, "eisenstein", cmd_series_eisenstein, "series eisenstein")
     p.add_argument("--k", type=int, choices=(2, 4, 6), required=True)
-    p.add_argument("--order", type=nonneg_int, required=True)
+    p.add_argument("--order", type=series_order, required=True)
 
     p = add(series_p, "theta", cmd_series_theta, "series theta")
     p.add_argument("--which", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--order", type=nonneg_int, required=True)
+    p.add_argument("--order", type=series_order, required=True)
 
     verify_p = top.add_parser("verify").add_subparsers(dest="command", required=True)
     p = add(verify_p, "ramanujan", cmd_verify_ramanujan, "verify ramanujan")
-    p.add_argument("--order", type=nonneg_int, default=30)
+    p.add_argument("--order", type=series_order, default=30)
     p.add_argument("--samples", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=positive_float, default=1e-9)
 
     p = add(verify_p, "chazy", cmd_verify_chazy, "verify chazy")
-    p.add_argument("--order", type=nonneg_int, default=30)
+    p.add_argument("--order", type=series_order, default=30)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
     p = add(verify_p, "gauss-manin", cmd_verify_gauss_manin, "verify gauss-manin")
@@ -439,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=finite_float, required=True)
     p.add_argument("--initial", type=parse_triple, required=True, help="Omega1,Omega2,Omega3")
     p.add_argument("--tol", type=positive_float, default=1e-10)
-    p.add_argument("--max-step", type=positive_float, default=np.inf)
+    p.add_argument("--max-step", type=positive_float, default=math.inf)
 
     p = add(bianchi_p, "flat-family", cmd_bianchi_flat_family, "bianchi flat-family",
             fmt_default="csv")
@@ -465,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
     p = add(frob_p, "chazy", cmd_verify_chazy, "frobenius chazy")
-    p.add_argument("--order", type=nonneg_int, default=30)
+    p.add_argument("--order", type=series_order, default=30)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
     p = add(frob_p, "cubic", cmd_frobenius_cubic, "frobenius cubic")

@@ -19,10 +19,9 @@ with purely rational coefficients.  T_i = (1/2) w d/dw log theta_{i+1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import rk
 from .qseries import PiGradedQSeries, _tau_complex, log_unit, theta_numeric, theta_series
@@ -122,7 +121,7 @@ class DHTrajectory:
         return DHState.from_seq(self._solution.at(s.real))
 
 
-def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = np.inf) -> DHTrajectory:
+def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) -> DHTrajectory:
     """Integrate the flow along the straight segment tau0 -> tau1.
 
     The segment is parameterised by arc fraction s in [0, 1]; tolerances
@@ -136,12 +135,12 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = np.inf) -> D
     dtau = t1 - t0
     if dtau == 0:
         raise ValueError("tau0 and tau1 coincide")
-    y0 = np.array([complex(c) for c in initial], dtype=complex)
+    y0 = [complex(c) for c in initial]
 
     def f(s, y):
-        return dtau * np.asarray(dh_vector_field(y), dtype=complex)
+        return [dtau * v for v in dh_vector_field(y)]
 
-    s_max = max_step / abs(dtau) if np.isfinite(max_step) else np.inf
+    s_max = max_step / abs(dtau) if math.isfinite(max_step) else math.inf
     try:
         sol = rk.integrate(f, 0.0, 1.0, y0, rtol=tol, atol=tol, max_step=s_max)
     except rk.IntegrationBlowUp as exc:

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-
-import numpy as np
+from itertools import permutations, product
 
 from .dh import dh_theta_solution
 from .qseries import _tau_complex, eisenstein_series, eval_series, theta_q
@@ -46,6 +45,7 @@ __all__ = [
     "chazy_gamma_jet",
     "modular_example_jet",
     "dh_cubic",
+    "cubic_roots",
     "dh_cubic_roots_check",
     "root_set_distance",
 ]
@@ -54,6 +54,10 @@ __all__ = [
 # Im tau of about 0.006; nearer the real axis the order grows without bound
 # and the jet is refused instead.
 MAX_JET_ORDER = 4000
+
+# Cap on the Durand-Kerner sweeps of cubic_roots.  The theta cubics take
+# about seven; a multiple root converges linearly, in up to a few hundred.
+MAX_ROOT_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -94,37 +98,59 @@ def associativity_residual(jet: PotentialJet):
 
 
 def potential_third_partials(jet: PotentialJet):
-    """Full symmetric third-derivative tensor c and metric eta of the
-    potential F = (1/2) u^2 y + (1/2) u x^2 + f(x, y)."""
-    c = np.zeros((3, 3, 3), dtype=complex)
+    """Full symmetric third-derivative tensor c[a][b][g] and metric
+    eta[b][g] of the potential F = (1/2) u^2 y + (1/2) u x^2 + f(x, y), as
+    nested lists."""
+    c = [[[0j] * 3 for _ in range(3)] for _ in range(3)]
+    for idx, value in (
+        ((0, 0, 2), 1.0),  # F_uuy
+        ((0, 1, 1), 1.0),  # F_uxx
+        ((1, 1, 1), jet.f_xxx),
+        ((1, 1, 2), jet.f_xxy),
+        ((1, 2, 2), jet.f_xyy),
+        ((2, 2, 2), jet.f_yyy),
+    ):
+        for a, b, g in set(permutations(idx)):
+            c[a][b][g] = complex(value)
+    eta = [list(row) for row in c[0]]  # eta_bg = F_{u b g}: the antidiagonal pattern
+    return c, eta
 
-    def set_sym(idx, value):
-        for p in set(permutations(idx)):
-            c[p] = value
 
-    set_sym((0, 0, 2), 1.0)  # F_uuy
-    set_sym((0, 1, 1), 1.0)  # F_uxx
-    set_sym((1, 1, 1), jet.f_xxx)
-    set_sym((1, 1, 2), jet.f_xxy)
-    set_sym((1, 2, 2), jet.f_xyy)
-    set_sym((2, 2, 2), jet.f_yyy)
-    eta = c[0]  # eta_bg = F_{u b g}: the antidiagonal pattern
-    return c, np.array(eta)
+def _inverse_3x3(m):
+    """Inverse of a 3x3 matrix from its adjugate."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if det == 0:
+        raise ValueError("eta is singular")
+    return [[v / det for v in row] for row in adj]
 
 
 def wdvv_residual_3d(third_partials, eta) -> float:
     """Max-abs associativity defect c_abl eta^lm c_mgd - c_dbl eta^lm c_mga
-    over all index tuples (a, b, g, d)."""
-    c = np.asarray(third_partials, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    if eta.shape != (3, 3) or not np.allclose(eta, eta.T):
+    over all index tuples (a, b, g, d).
+
+    eta must be nonsingular and symmetric to within |eta_ij - eta_ji| <=
+    1e-8 + 1e-5 |eta_ji| (numpy's allclose rule)."""
+    c = [[[complex(v) for v in row] for row in plane] for plane in third_partials]
+    eta = [[complex(v) for v in row] for row in eta]
+    if len(eta) != 3 or any(len(row) != 3 for row in eta) or any(
+        abs(eta[i][j] - eta[j][i]) > 1e-8 + 1e-5 * abs(eta[j][i])
+        for i in range(3) for j in range(3)
+    ):
         raise ValueError("eta must be a symmetric 3x3 matrix")
-    try:
-        eta_inv = np.linalg.inv(eta)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("eta is singular") from exc
-    left = np.einsum("abl,lm,mgd->abgd", c, eta_inv, c)
-    return float(np.max(np.abs(left - left.transpose(3, 1, 2, 0))))
+    eta_inv = _inverse_3x3(eta)
+    left = {}
+    for a, b, g, d in product(range(3), repeat=4):
+        total = 0j
+        for l, m in product(range(3), repeat=2):
+            total += c[a][b][l] * eta_inv[l][m] * c[m][g][d]
+        left[a, b, g, d] = total
+    return max(abs(v - left[d, b, g, a]) for (a, b, g, d), v in left.items())
 
 
 # -- Chazy ------------------------------------------------------------------------
@@ -195,6 +221,44 @@ def dh_cubic(g: GammaJet):
     )
 
 
+def cubic_roots(coeffs) -> list:
+    """The three complex roots of a0 z^3 + a1 z^2 + a2 z + a3 (a0 != 0), by
+    Durand-Kerner iteration on the monic normalisation.
+
+    The start points are r (0.4 + 0.9i)^k, k = 0, 1, 2, with r the Cauchy
+    bound 1 + max |a_k/a0|.  They are deliberately asymmetric: the theta
+    cubics of the flow at tau on the imaginary axis have their roots on
+    that axis, and start points placed symmetrically about it keep that
+    symmetry and stall.  A root whose residual is within the rounding error
+    of evaluating it stays put, since a multiple root would otherwise
+    wander in the noise; iteration stops once no root moves by more than
+    1e-15 r.  Simple roots come out to rounding level, an m-fold root to
+    about eps^(1/m)."""
+    if len(coeffs) != 4:
+        raise ValueError("a cubic has four coefficients")
+    lead = complex(coeffs[0])
+    if lead == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    a1, a2, a3 = (complex(a) / lead for a in coeffs[1:])
+    m1, m2, m3 = abs(a1), abs(a2), abs(a3)
+    radius = 1 + max(m1, m2, m3)
+    roots = [radius * (0.4 + 0.9j) ** k for k in range(3)]
+    for _ in range(MAX_ROOT_ITERATIONS):
+        moved = 0.0
+        for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+            z = roots[i]
+            value = ((z + a1) * z + a2) * z + a3
+            r = abs(z)
+            if abs(value) <= sys.float_info.epsilon * (((r + m1) * r + m2) * r + m3):
+                continue
+            step = value / ((z - roots[j]) * (z - roots[k]))
+            roots[i] = z - step
+            moved = max(moved, abs(step))
+        if moved < 1e-15 * radius:
+            break
+    return roots
+
+
 def root_set_distance(a, b) -> float:
     """Smallest over pairings of the maximum pairwise distance between two
     triples (multiplicity-agnostic matching)."""
@@ -209,5 +273,5 @@ def dh_cubic_roots_check(tau) -> float:
     """Distance between the root set of the gamma-cubic and the theta
     closed form of the flow at tau."""
     jet = chazy_gamma_jet(tau)
-    roots = np.roots([complex(c) for c in dh_cubic(jet)])
+    roots = cubic_roots(dh_cubic(jet))
     return root_set_distance(roots, tuple(dh_theta_solution(tau)))

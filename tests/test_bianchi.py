@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from halphen.bianchi import (
@@ -106,13 +105,10 @@ def c_flow_rhs(sign):
 
     def f(r, c):
         c1, c2, c3 = c
-        return np.array(
-            [
-                s * c1 * (c2 * c2 + c3 * c3 - c1 * c1 - 2 * c2 * c3),
-                s * c2 * (c3 * c3 + c1 * c1 - c2 * c2 - 2 * c3 * c1),
-                s * c3 * (c1 * c1 + c2 * c2 - c3 * c3 - 2 * c1 * c2),
-            ],
-            dtype=complex,
+        return (
+            s * c1 * (c2 * c2 + c3 * c3 - c1 * c1 - 2 * c2 * c3),
+            s * c2 * (c3 * c3 + c1 * c1 - c2 * c2 - 2 * c3 * c1),
+            s * c3 * (c1 * c1 + c2 * c2 - c3 * c3 - 2 * c1 * c2),
         )
 
     return f

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +11,7 @@ from halphen.cli import (
     EXIT_OK,
     EXIT_RESIDUAL,
     EXIT_USAGE,
+    MAX_ORDER,
     main,
     parse_complex,
     parse_state,
@@ -88,6 +93,8 @@ def test_negative_value_after_flag(capsys):
         ("bianchi flow --t0 0.7 --t1 2 --initial 1,inf,0.25", EXIT_USAGE),
         ("bianchi flat-family --q0 nan", EXIT_USAGE),
         ("dh integrate --t0 0,1 --t1 2,1 --initial 1,0,1,0,1,0", EXIT_NUMERIC),  # blow-up
+        ("series eisenstein --k 4 --order %d" % (MAX_ORDER + 1), EXIT_USAGE),
+        ("verify ramanujan --order %d" % (MAX_ORDER + 1), EXIT_USAGE),
     ],
 )
 def test_domain_errors_exit_codes(capsys, argv, want):
@@ -271,3 +278,13 @@ def test_out_file_and_summary_line(tmp_path, capsys):
     assert code == EXIT_OK
     assert "wrote" in stdout
     assert json.loads(out.read_text())["ok"] is True
+
+
+def test_cli_import_loads_no_numpy():
+    # the library and CLI run on the standard library alone
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c", "import halphen.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True,
+    )

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from halphen.dh import (

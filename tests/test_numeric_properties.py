@@ -1,0 +1,144 @@
+"""Property tests of the pure-Python numerics against numpy oracles: the
+DOPRI5 integrator against the numpy implementation kept in test_rk.py, and
+cubic_roots against numpy.roots."""
+
+import cmath
+import contextlib
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from test_rk import (  # noqa: E402
+    assert_same_mesh,
+    dh_segment_mesh,
+    dh_segment_rhs,
+    numpy_integrate,
+    numpy_rms_scaled,
+)
+
+from halphen import dh, rk  # noqa: E402
+from halphen.frobenius import cubic_roots, root_set_distance  # noqa: E402
+
+EPS = sys.float_info.epsilon
+
+# -- DOPRI5 on Darboux-Halphen segments ------------------------------------------------
+
+upper_tau = st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.3, 2.5))
+tolerances = st.sampled_from([1e-8, 1e-10, 1e-12])
+
+
+def numpy_weights(y, y_new, rtol, atol):
+    y, y_new = np.asarray(y, dtype=complex), np.asarray(y_new, dtype=complex)
+    return list(atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+
+
+@contextlib.contextmanager
+def numpy_error_norm():
+    """rk's error weights and weighted RMS computed by numpy."""
+    with mock.patch.object(rk, "_weights", numpy_weights), mock.patch.object(
+        rk, "_rms_scaled",
+        lambda e, scale: numpy_rms_scaled(np.asarray(e, dtype=complex), np.asarray(scale)),
+    ):
+        yield
+
+
+@settings(max_examples=40, deadline=None)
+@given(upper_tau, upper_tau, tolerances)
+def test_dh_mesh_matches_numpy_with_its_error_norm(tau0, tau1, tol):
+    # numpy's complex abs is sqrt(fma(r, r, 1)) * max(|re|, |im|), which plain
+    # Python cannot round alike; the error estimate's cancellation blows a
+    # last-bit difference up to ~1e-8 in the step sizes.  With numpy's
+    # rounding of the weighted norm the stepping is otherwise the same
+    # arithmetic, so the meshes agree.
+    assume(abs(tau1 - tau0) > 1e-3)
+    initial = tuple(dh.dh_theta_solution(tau0))
+    with numpy_error_norm():
+        traj = dh.dh_integrate(initial, tau0, tau1, tol=tol)
+    ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, tol, tol)
+    assert_same_mesh(traj.taus, traj.states, dh_segment_mesh(tau0, tau1, ref), ref.ys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(upper_tau, upper_tau, tolerances)
+def test_dh_endpoint_matches_numpy_to_the_tolerance(tau0, tau1, tol):
+    assume(abs(tau1 - tau0) > 1e-3)
+    initial = tuple(dh.dh_theta_solution(tau0))
+    traj = dh.dh_integrate(initial, tau0, tau1, tol=tol)
+    ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, tol, tol)
+    scale = max(abs(v) for v in ref.ys[-1])
+    assert max(abs(a - b) for a, b in zip(traj.states[-1], ref.ys[-1])) <= tol * scale
+
+
+# -- cubic roots ---------------------------------------------------------------------------
+
+coords = st.floats(-10.0, 10.0)
+points = st.builds(complex, coords, coords)
+# exact in binary: the expanded coefficients of a multiple root stay exact
+quarters = st.builds(complex, st.integers(-12, 12).map(lambda k: k / 4),
+                     st.integers(-12, 12).map(lambda k: k / 4))
+leads = st.builds(complex, st.floats(0.1, 3.0), st.floats(-3.0, 3.0))
+
+
+def expand(roots, lead=1):
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def cauchy_bound(coeffs):
+    return 1 + max(abs(a / coeffs[0]) for a in coeffs[1:])
+
+
+def horner(coeffs, z):
+    value = 0
+    for a in coeffs:
+        value = value * z + a
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(points, min_size=3, max_size=3), leads)
+def test_cubic_roots_match_numpy_on_separated_roots(roots, lead):
+    assume(min(abs(roots[i] - roots[j]) for i in range(3) for j in range(i)) > 0.1)
+    coeffs = expand(roots, lead)
+    got = cubic_roots(coeffs)
+    assert root_set_distance(got, np.roots(coeffs)) <= 1e-12 * cauchy_bound(coeffs)
+
+
+def check_multiple_root(coeffs, multiplicity):
+    got = cubic_roots(coeffs)
+    bound = cauchy_bound(coeffs)
+    assert max(abs(horner(coeffs, z)) for z in got) <= 1e-12
+    assert root_set_distance(got, np.roots(coeffs)) <= 10 * EPS ** (1 / multiplicity) * bound
+
+
+def test_cubic_roots_of_z_cubed():
+    check_multiple_root([1, 0, 0, 0], 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quarters, quarters)
+def test_cubic_roots_double_root(a, b):
+    assume(a != b)
+    check_multiple_root(expand([a, a, b]), 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quarters)
+def test_cubic_roots_triple_root(a):
+    check_multiple_root(expand([a, a, a]), 3)
+
+
+def test_cubic_roots_validates_input():
+    with pytest.raises(ValueError):
+        cubic_roots([0, 1, 2, 3])
+    with pytest.raises(ValueError):
+        cubic_roots([1, 2, 3])
+    assert all(cmath.isfinite(z) for z in cubic_roots([2, 0, 0, -16]))

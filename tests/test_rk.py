@@ -1,62 +1,68 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from halphen.rk import A, B, C, E, P, IntegrationBlowUp, integrate
+from halphen import bianchi, dh
+from halphen.rk import (
+    A, B, BETA, C, E, EXPONENT, MAX_FACTOR, MIN_FACTOR, P, SAFETY, IntegrationBlowUp, integrate,
+)
 
 
 def test_tableau_consistency():
     # stage abscissae are row sums of A; weights sum to 1; E sums to 0.
-    assert np.allclose(A.sum(axis=1), C[:6])
-    assert abs(B.sum() - 1) < 1e-15
-    assert abs(E.sum()) < 1e-15
+    assert np.allclose(np.sum(A, axis=1), C[:6])
+    assert abs(sum(B) - 1) < 1e-15
+    assert abs(sum(E)) < 1e-15
 
 
 def test_dense_coefficients_match_weights_at_unit_theta():
     # the continuous extension must hit the accepted endpoint exactly.
-    assert np.allclose(P.sum(axis=1), B, atol=1e-12)
+    assert np.allclose(np.sum(P, axis=1), B, atol=1e-12)
 
 
 def test_exponential_decay_accuracy():
-    sol = integrate(lambda t, y: -y, 0.0, 3.0, [1.0 + 0j], rtol=1e-10, atol=1e-12)
-    assert abs(sol.ys[-1, 0] - math.exp(-3)) < 1e-9
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 3.0, [1.0 + 0j], rtol=1e-10, atol=1e-12)
+    assert abs(sol.ys[-1][0] - math.exp(-3)) < 1e-9
 
 
 def test_complex_rotation():
-    sol = integrate(lambda t, y: 1j * y, 0.0, 2 * math.pi, [1.0 + 0j], rtol=1e-11, atol=1e-13)
-    assert abs(sol.ys[-1, 0] - 1.0) < 1e-8
+    sol = integrate(
+        lambda t, y: [1j * v for v in y], 0.0, 2 * math.pi, [1.0 + 0j], rtol=1e-11, atol=1e-13
+    )
+    assert abs(sol.ys[-1][0] - 1.0) < 1e-8
 
 
 def test_dense_output_against_closed_form():
-    sol = integrate(lambda t, y: -y, 0.0, 2.0, [1.0 + 0j], rtol=1e-10, atol=1e-12)
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 2.0, [1.0 + 0j], rtol=1e-10, atol=1e-12)
     for t in np.linspace(0.05, 1.95, 37):
         assert abs(sol.at(t)[0] - math.exp(-t)) < 1e-8
 
 
 def test_dense_output_rejects_outside_interval():
-    sol = integrate(lambda t, y: -y, 0.0, 1.0, [1.0 + 0j], rtol=1e-8, atol=1e-10)
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0 + 0j], rtol=1e-8, atol=1e-10)
     with pytest.raises(ValueError):
         sol.at(1.5)
 
 
 def test_nonautonomous_rhs():
-    sol = integrate(lambda t, y: np.array([2 * t + 0j]), 0.0, 1.5, [0j], rtol=1e-10, atol=1e-12)
-    assert abs(sol.ys[-1, 0] - 2.25) < 1e-9
+    sol = integrate(lambda t, y: [2 * t + 0j], 0.0, 1.5, [0j], rtol=1e-10, atol=1e-12)
+    assert abs(sol.ys[-1][0] - 2.25) < 1e-9
 
 
 def test_blowup_is_reported():
     # dy/dt = y^2 from y(0)=1 blows up at t=1.
     with pytest.raises(IntegrationBlowUp) as exc:
-        integrate(lambda t, y: y * y, 0.0, 2.0, [1.0 + 0j], rtol=1e-8, atol=1e-10)
+        integrate(lambda t, y: [v * v for v in y], 0.0, 2.0, [1.0 + 0j], rtol=1e-8, atol=1e-10)
     assert exc.value.t_reached < 2.0
     assert exc.value.t_reached == pytest.approx(1.0, abs=1e-2)
 
 
 def test_error_estimates_recorded():
-    sol = integrate(lambda t, y: -y, 0.0, 1.0, [1.0 + 0j], rtol=1e-9, atol=1e-11)
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0 + 0j], rtol=1e-9, atol=1e-11)
     assert len(sol.err_ests) == len(sol.ts)
-    assert np.all(sol.err_ests >= 0)
+    assert all(e >= 0 for e in sol.err_ests)
     assert np.max(sol.err_ests[1:]) < 1e-8
 
 
@@ -65,3 +71,120 @@ def test_invalid_arguments():
         integrate(lambda t, y: y, 1.0, 0.0, [1.0], rtol=1e-8, atol=1e-8)
     with pytest.raises(ValueError):
         integrate(lambda t, y: y, 0.0, 1.0, [1.0], rtol=0.0, atol=1e-8)
+
+
+# -- numpy reference integrator ------------------------------------------------------
+#
+# The numpy implementation the pure-Python integrator replaced, kept as an
+# oracle: same tableau, step control and dense output, on complex128 arrays.
+
+NP_C, NP_A, NP_B, NP_E, NP_P = (np.array(m, dtype=float) for m in (C, A, B, E, P))
+
+
+@dataclass
+class NumpySolution:
+    ts: np.ndarray
+    ys: np.ndarray
+    err_ests: np.ndarray
+    steps: list  # (t_old, h, y_old, q) per accepted step
+
+    def at(self, t):
+        idx = min(max(np.searchsorted(self.ts, t, side="right") - 1, 0), len(self.steps) - 1)
+        t_old, h, y_old, q = self.steps[idx]
+        return y_old + h * (q @ (((t - t_old) / h) ** np.arange(1, 5)))
+
+
+def numpy_rms_scaled(e, scale):
+    return float(np.sqrt(np.mean(np.abs(e / scale) ** 2)))
+
+
+def numpy_integrate(f, t0, t1, y0, rtol, atol, max_step=np.inf):
+    y = np.asarray(y0, dtype=complex)
+    t = float(t0)
+    span = t1 - t0
+    f_cur = np.asarray(f(t, y), dtype=complex)
+    scale = atol + rtol * np.abs(y)
+    d0, d1 = numpy_rms_scaled(y, scale), numpy_rms_scaled(f_cur, scale)
+    h0 = 1e-6 * span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = np.asarray(f(t + h0, y + h0 * f_cur), dtype=complex)
+    d2 = numpy_rms_scaled(f1 - f_cur, scale) / h0
+    h1 = max(1e-6 * span, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h = min(100 * h0, h1, span, max_step)
+    h_min = 16 * np.finfo(float).eps * max(abs(t0), abs(t1), 1.0)
+    ts, ys, err_ests, steps = [t], [y.copy()], [0.0], []
+    err_prev, rejected = 1e-4, False
+    k = np.empty((7, y.size), dtype=complex)
+    while not (t >= t1 or t1 - t < h_min):
+        h = min(h, t1 - t, max_step)
+        assert h >= h_min, "step size underflow"
+        k[0] = f_cur
+        for i in range(1, 6):
+            k[i] = f(t + NP_C[i] * h, y + h * (NP_A[i, :i] @ k[:i]))
+        y_new = y + h * (NP_B[:6] @ k[:6])
+        k[6] = f(t + h, y_new)
+        err_vec = h * (NP_E @ k)
+        err = numpy_rms_scaled(err_vec, atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        if err <= 1.0:
+            steps.append((t, h, y.copy(), k.T @ NP_P))
+            t, y, f_cur = t + h, y_new, k[6].copy()
+            ts.append(t)
+            ys.append(y.copy())
+            err_ests.append(float(np.max(np.abs(err_vec))))
+            factor = MAX_FACTOR if err == 0 else SAFETY * err**-EXPONENT * err_prev**BETA
+            factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
+            h *= min(1.0, factor) if rejected else factor
+            err_prev, rejected = max(err, 1e-4), False
+        else:
+            rejected = True
+            h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
+    return NumpySolution(np.array(ts), np.array(ys), np.array(err_ests), steps)
+
+
+def dh_segment_rhs(tau0, tau1):
+    """The right-hand side dh_integrate builds for the segment tau0 -> tau1."""
+    dtau = tau1 - tau0
+    return lambda s, y: [dtau * v for v in dh.dh_vector_field(y)]
+
+
+def dh_segment_mesh(tau0, tau1, ref):
+    """The tau mesh dh_integrate reports for the arc-fraction mesh of ref."""
+    return [tau0 + float(s) * (tau1 - tau0) for s in ref.ts]
+
+
+def assert_same_mesh(ts, states, ref_ts, ref_ys, rel=1e-13):
+    """Mesh points and states agree with the reference ones to rel."""
+    assert len(ts) == len(ref_ts)
+    for t, t_ref in zip(ts, ref_ts):
+        assert abs(t - t_ref) <= rel * abs(t_ref)
+    for y, y_ref in zip(states, ref_ys):
+        scale = max(abs(v) for v in y_ref)
+        assert max(abs(a - b) for a, b in zip(y, y_ref)) <= rel * scale
+
+
+def test_numpy_oracle_matches_dh_readme_integration():
+    # halphen dh integrate --t0 0,1.2 --t1 0,2 --tol 1e-10
+    tau0, tau1 = 1.2j, 2j
+    initial = tuple(dh.dh_theta_solution(tau0))
+    traj = dh.dh_integrate(initial, tau0, tau1, tol=1e-10)
+    ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, 1e-10, 1e-10)
+    assert_same_mesh(traj.taus, traj.states, dh_segment_mesh(tau0, tau1, ref), ref.ys)
+    for a, b in zip(traj.err_ests, ref.err_ests):
+        assert abs(a - b) <= 1e-13 * b
+    for s in (0.1, 0.45, 0.77):
+        want = ref.at(s)
+        got = traj.at(tau0 + s * (tau1 - tau0))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * max(abs(want))
+
+
+@pytest.mark.parametrize("t0, t1, initial, tol, max_step", [
+    (0.7, 2.0, (1, 0.5, 0.25), 1e-9, np.inf),  # README: bianchi flow
+    (0.5, 3.0, (1, 0.5, 0.25), 1e-12, 0.1),
+])
+def test_numpy_oracle_matches_omega_flow(t0, t1, initial, tol, max_step):
+    traj = bianchi.omega_theta_flow(initial, t0, t1, tol=tol, max_step=max_step)
+    ref = numpy_integrate(lambda t, y: bianchi.omega_field(y, t), t0, t1, initial, tol, tol,
+                          max_step)
+    assert_same_mesh(traj.ts, traj.omegas, ref.ts, ref.ys)
+    mid = 0.5 * (t0 + t1)
+    want = ref.at(mid)
+    assert max(abs(a - b) for a, b in zip(traj.at(mid), want)) <= 1e-13 * max(abs(want))
