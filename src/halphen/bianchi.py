@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import rk
 from .dh import dh_vector_field
@@ -52,17 +52,17 @@ __all__ = [
     "lambda_conformal_factor",
 ]
 
-@dataclass(frozen=True)
-class SelfDualitySign:
+class SelfDualitySign(namedtuple("SelfDualitySign", "sign")):
     """Resolves the +-/-+ double signs.  sign = +1 is the self-dual branch
     (upper signs, lambdas (2,2,2)); sign = -1 anti-self-dual (lower signs,
     lambdas (-2,-2,-2), product -8)."""
 
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __new__(cls, sign):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, sign)
 
     @property
     def upper_lower(self) -> int:
@@ -83,41 +83,28 @@ SELF_DUAL = SelfDualitySign(1)
 ANTI_SELF_DUAL = SelfDualitySign(-1)
 
 
-@dataclass(frozen=True)
-class MetricCoeffs:
-    c1: float
-    c2: float
-    c3: float
+class MetricCoeffs(namedtuple("MetricCoeffs", "c1 c2 c3")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
+    def __new__(cls, c1, c2, c3):
+        if not (c1 > 0 and c2 > 0 and c3 > 0):
             raise ValueError("metric coefficients must be positive")
+        return super().__new__(cls, c1, c2, c3)
 
     @property
     def c0(self) -> float:
         return self.c1 * self.c2 * self.c3
 
-    def __iter__(self):
-        yield self.c1
-        yield self.c2
-        yield self.c3
+
+# a is the A-component of the coupled system, None where it is not needed
+OmegaAState = namedtuple("OmegaAState", "omega a", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class OmegaAState:
-    omega: tuple
-    a: tuple | None = None
-
-
-@dataclass(frozen=True)
-class TodHitchinParams:
+class TodHitchinParams(namedtuple("TodHitchinParams", "p q lam q0", defaults=(1.0, 0.0))):
     """Characteristics (p, q) of the two-parameter solution family, the
     cosmological constant and the shift of the flat family."""
 
-    p: complex
-    q: complex
-    lam: float = 1.0
-    q0: float = 0.0
+    __slots__ = ()
 
     def reality_class(self) -> str:
         """Reported, not enforced: real p with Re q = 1/2 pairs with
@@ -147,13 +134,9 @@ def connection_coefficient(c, i: int, j: int) -> float:
     return -_EPS[(i, j, k)] * (ci * ci + cj * cj - ck * ck) / (ci * cj)
 
 
-@dataclass(frozen=True)
-class ConnectionOneForm:
-    """omega_i0[i-1]: coefficient of s^i in w^i_0; omega_ij[k-1]:
-    coefficient of s^k in w^i_j for the cyclic pair (i, j) of k."""
-
-    omega_i0: tuple
-    omega_ij: tuple
+ConnectionOneForm = namedtuple("ConnectionOneForm", "omega_i0 omega_ij")
+ConnectionOneForm.__doc__ = """omega_i0[i-1]: coefficient of s^i in w^i_0;
+omega_ij[k-1]: coefficient of s^k in w^i_j for the cyclic pair (i, j) of k."""
 
 
 def connection_one_form(c, dc_dr) -> ConnectionOneForm:
@@ -250,12 +233,16 @@ def omega_field(omega, t: float) -> tuple:
     return domega
 
 
-@dataclass
 class OmegaTrajectory:
-    ts: list
-    omegas: list
-    err_ests: list
-    _solution: rk.RkSolution
+    """Accepted integration mesh of the Omega flow along real time."""
+
+    __slots__ = ("ts", "omegas", "err_ests", "_solution")
+
+    def __init__(self, ts, omegas, err_ests, _solution):
+        self.ts = ts
+        self.omegas = omegas
+        self.err_ests = err_ests
+        self._solution = _solution
 
     def __len__(self):
         return len(self.ts)
@@ -278,9 +265,9 @@ def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
 
     sol = rk.integrate(f, t0, t1, y0, rtol=tol, atol=tol, max_step=max_step)
     return OmegaTrajectory(
-        ts=[float(t) for t in sol.ts],
-        omegas=[tuple(complex(c) for c in y) for y in sol.ys],
-        err_ests=[float(e) for e in sol.err_ests],
+        ts=sol.ts,
+        omegas=[tuple(y) for y in sol.ys],
+        err_ests=sol.err_ests,
         _solution=sol,
     )
 

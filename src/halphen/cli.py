@@ -374,13 +374,13 @@ def cmd_frobenius_wdvv(args):
 
 
 def cmd_frobenius_cubic(args):
-    jet = frobenius.chazy_gamma_jet(args.tau)
-    coeffs = frobenius.dh_cubic(jet)
-    distance = frobenius.dh_cubic_roots_check(args.tau)
+    coeffs = frobenius.dh_cubic(frobenius.chazy_gamma_jet(args.tau))
+    theta = dh.dh_theta_solution(args.tau)
+    distance = frobenius.root_set_distance(frobenius.cubic_roots(coeffs), theta)
     results = {
         "cubic_coefficients": [complex(c) for c in coeffs],
         "root_set_distance": distance,
-        "theta_solution": list(dh.dh_theta_solution(args.tau)),
+        "theta_solution": list(theta),
     }
     return results, distance < args.tol, None
 

@@ -20,7 +20,7 @@ with purely rational coefficients.  T_i = (1/2) w d/dw log theta_{i+1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import rk
@@ -38,20 +38,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DHState:
+class DHState(namedtuple("DHState", "t1 t2 t3")):
     """A phase point (t1, t2, t3).  Components are complex in numeric work
     and exact rationals in the identity checks (all operations are plain
     field arithmetic, so both work)."""
 
-    t1: complex
-    t2: complex
-    t3: complex
-
-    def __iter__(self):
-        yield self.t1
-        yield self.t2
-        yield self.t3
+    __slots__ = ()
 
     @classmethod
     def from_seq(cls, seq) -> "DHState":
@@ -69,19 +61,9 @@ def dh_vector_field(state):
     )
 
 
-@dataclass(frozen=True)
-class DarbouxResidual:
-    """(first, second) residuals of the equal-products condition
-    t3(t1'+t2') = t2(t1'+t3') = t1(t2'+t3'), plus the common value.
-    Iterating yields the residual pair."""
-
-    first: complex
-    second: complex
-    common: complex
-
-    def __iter__(self):
-        yield self.first
-        yield self.second
+DarbouxResidual = namedtuple("DarbouxResidual", "first second common")
+DarbouxResidual.__doc__ = """(first, second) residuals of the equal-products
+condition t3(t1'+t2') = t2(t1'+t3') = t1(t2'+t3'), plus the common value."""
 
 
 def darboux_condition_residual(state):
@@ -99,16 +81,18 @@ def darboux_condition_residual(state):
 # -- numeric integration -------------------------------------------------------
 
 
-@dataclass
 class DHTrajectory:
     """Accepted integration mesh along a straight tau-segment."""
 
-    taus: list
-    states: list
-    err_ests: list
-    _tau0: complex
-    _dtau: complex
-    _solution: rk.RkSolution
+    __slots__ = ("taus", "states", "err_ests", "_tau0", "_dtau", "_solution")
+
+    def __init__(self, taus, states, err_ests, _tau0, _dtau, _solution):
+        self.taus = taus
+        self.states = states
+        self.err_ests = err_ests
+        self._tau0 = _tau0
+        self._dtau = _dtau
+        self._solution = _solution
 
     def __len__(self):
         return len(self.taus)
@@ -149,12 +133,10 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
             exc.t_reached,
             exc.y_reached,
         ) from exc
-    taus = [t0 + float(s) * dtau for s in sol.ts]
-    states = [DHState(*(complex(c) for c in y)) for y in sol.ys]
     return DHTrajectory(
-        taus=taus,
-        states=states,
-        err_ests=[float(e) for e in sol.err_ests],
+        taus=[t0 + s * dtau for s in sol.ts],
+        states=[DHState(*y) for y in sol.ys],
+        err_ests=sol.err_ests,
         _tau0=t0,
         _dtau=dtau,
         _solution=sol,

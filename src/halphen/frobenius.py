@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -60,24 +60,11 @@ MAX_JET_ORDER = 4000
 MAX_ROOT_ITERATIONS = 500
 
 
-@dataclass(frozen=True)
-class PotentialJet:
-    """The four third partials of f(x, y) at a point."""
+PotentialJet = namedtuple("PotentialJet", "f_xxx f_xxy f_xyy f_yyy")
+PotentialJet.__doc__ = "The four third partials of f(x, y) at a point."
 
-    f_xxx: complex
-    f_xxy: complex
-    f_xyy: complex
-    f_yyy: complex
-
-
-@dataclass(frozen=True)
-class GammaJet:
-    """gamma and its first three derivatives at a point."""
-
-    value: complex
-    d1: complex
-    d2: complex
-    d3: complex
+GammaJet = namedtuple("GammaJet", "value d1 d2 d3")
+GammaJet.__doc__ = "gamma and its first three derivatives at a point."
 
 
 def structure_constants(jet: PotentialJet):
@@ -274,4 +261,4 @@ def dh_cubic_roots_check(tau) -> float:
     closed form of the flow at tau."""
     jet = chazy_gamma_jet(tau)
     roots = cubic_roots(dh_cubic(jet))
-    return root_set_distance(roots, tuple(dh_theta_solution(tau)))
+    return root_set_distance(roots, dh_theta_solution(tau))

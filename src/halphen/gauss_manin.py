@@ -15,7 +15,7 @@ implementation that transposes the basis must flip the target matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dh import dh_vector_field
 
@@ -35,20 +35,10 @@ class SingularLocusError(ValueError):
     """Two of the parameters collide; the connection matrix has a pole."""
 
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
-    """The three 2x2 coefficient matrices of dt1, dt2, dt3.  Entries are
-    exact rationals by default; complex input is accepted but the identity
-    checks run exact."""
-
-    a1: tuple
-    a2: tuple
-    a3: tuple
-
-    def __iter__(self):
-        yield self.a1
-        yield self.a2
-        yield self.a3
+ConnectionMatrix = namedtuple("ConnectionMatrix", "a1 a2 a3")
+ConnectionMatrix.__doc__ = """The three 2x2 coefficient matrices of dt1, dt2,
+dt3.  Entries are exact rationals by default; complex input is accepted but
+the identity checks run exact."""
 
 
 def _component(ti, tj, tk):

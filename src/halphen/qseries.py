@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -416,33 +416,29 @@ class PiGradedQSeries:
 # -- points and characteristics -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TauPoint:
+class TauPoint(namedtuple("TauPoint", "value")):
     """A modular parameter in the upper half-plane."""
 
-    value: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-        if self.value.imag <= 0:
-            raise ValueError("tau must have positive imaginary part, got %r" % (self.value,))
+    def __new__(cls, value):
+        value = complex(value)
+        if value.imag <= 0:
+            raise ValueError("tau must have positive imaginary part, got %r" % (value,))
+        return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class ThetaCharacteristics:
+class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s z sigma")):
     """Arguments of the two-characteristic theta sum
     sum_m exp(pi*i*(m+r)**2*sigma + 2*pi*i*(m+r)*(z+s))."""
 
-    r: complex
-    s: complex
-    z: complex
-    sigma: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("r", "s", "z", "sigma"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.sigma.imag <= 0:
+    def __new__(cls, r, s, z, sigma):
+        r, s, z, sigma = complex(r), complex(s), complex(z), complex(sigma)
+        if sigma.imag <= 0:
             raise ValueError("sigma must have positive imaginary part")
+        return super().__new__(cls, r, s, z, sigma)
 
 
 def _tau_complex(tau) -> complex:

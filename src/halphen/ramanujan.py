@@ -33,7 +33,7 @@ it into a pure rational identity, which is how the exact checks run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -50,27 +50,15 @@ from .dh import dh_vector_field
 from .qseries import PiGradedQSeries, eisenstein_series, theta_q
 
 
-@dataclass(frozen=True)
-class EisensteinState:
-    e2: complex
-    e4: complex
-    e6: complex
-
-    def __iter__(self):
-        yield self.e2
-        yield self.e4
-        yield self.e6
+EisensteinState = namedtuple("EisensteinState", "e2 e4 e6")
 
 
-@dataclass(frozen=True)
-class MapConstants:
+class MapConstants(namedtuple("MapConstants", "a1 a2 a3")):
     """The matching constants (a1, a2, a3) = (S/6, 12 a1^2, 8 a1^3) for a
     scale S.  Numerically S = 2*pi*i; the exact identity checks pass a
     nonzero rational surrogate instead (see module docstring)."""
 
-    a1: complex
-    a2: complex
-    a3: complex
+    __slots__ = ()
 
     @classmethod
     def with_scale(cls, two_pi_i) -> "MapConstants":

@@ -20,7 +20,7 @@ import bisect
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 __all__ = ["IntegrationBlowUp", "RkSolution", "integrate"]
@@ -80,23 +80,21 @@ class IntegrationBlowUp(RuntimeError):
         self.y_reached = y_reached
 
 
-@dataclass
-class _Step:
-    t_old: float
-    h: float
-    y_old: list
-    k: tuple  # the seven stage derivatives
+# One accepted step; k holds the seven stage derivatives.
+_Step = namedtuple("_Step", "t_old h y_old k")
 
 
-@dataclass
 class RkSolution:
     """Accepted mesh (ts, ys), per-step max-abs local error estimates and the
     continuous extension for evaluation between mesh points."""
 
-    ts: list
-    ys: list
-    err_ests: list
-    steps: list
+    __slots__ = ("ts", "ys", "err_ests", "steps")
+
+    def __init__(self, ts, ys, err_ests, steps):
+        self.ts = ts
+        self.ys = ys
+        self.err_ests = err_ests
+        self.steps = steps
 
     def at(self, t: float) -> list:
         """Dense-output state at t inside the integrated interval."""
@@ -164,7 +162,8 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     of numbers of the same length.  A step is accepted when the weighted RMS
     of the embedded error estimate is at most 1 with weights atol +
     rtol*|y|.  err_ests records the max-abs component of the raw estimate
-    for each accepted step.
+    for each accepted step.  ts and err_ests hold floats and ys lists of
+    complex, so callers need not convert them.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")

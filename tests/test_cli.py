@@ -285,6 +285,8 @@ def test_cli_import_loads_no_numpy():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
-        [sys.executable, "-c", "import halphen.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c",
+         "import halphen.cli, sys; assert 'numpy' not in sys.modules; "
+         "assert 'dataclasses' not in sys.modules"],
         env=env, check=True,
     )

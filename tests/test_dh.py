@@ -39,12 +39,12 @@ def test_vector_field_permutation_equivariance():
 
 def test_darboux_condition_residual_examples():
     r = darboux_condition_residual((1, 2, 3))
-    assert tuple(r) == (0, 0)
-    assert r.common == 12  # 2 * 1 * 2 * 3
+    assert tuple(r) == (0, 0, 12)  # (first, second, common); 12 = 2 * 1 * 2 * 3
+    assert r.common == 12
     r0 = darboux_condition_residual((0, 0, 0))
-    assert tuple(r0) == (0, 0) and r0.common == 0
+    assert tuple(r0) == (0, 0, 0) and r0.common == 0
     r110 = darboux_condition_residual((1, 1, 0))
-    assert tuple(r110) == (0, 0) and r110.common == 0
+    assert tuple(r110) == (0, 0, 0) and r110.common == 0
 
 
 def test_darboux_condition_residual_exact_random():
