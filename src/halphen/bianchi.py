@@ -22,8 +22,15 @@ import math
 from collections import namedtuple
 
 from . import rk
-from .dh import dh_vector_field
-from .qseries import ThetaCharacteristics, theta_char_dz, theta_char_eval, theta_numeric
+from .dh import dh_theta_jet, dh_vector_field
+from .qseries import (
+    ThetaCharacteristics,
+    _theta_jets,
+    _theta_term_count,
+    theta_char_dz,
+    theta_char_eval,
+    theta_numeric,  # unused here; bench/tracer.py patches bianchi.theta_numeric
+)
 
 __all__ = [
     "SelfDualitySign",
@@ -41,6 +48,7 @@ __all__ = [
     "classical_dh_omega_field",
     "coupled_field",
     "theta_A_solution",
+    "theta_A_jet",
     "omega_field",
     "omega_theta_flow",
     "OmegaTrajectory",
@@ -197,40 +205,56 @@ def classical_dh_omega_field(omega, sign) -> tuple:
     )
 
 
+def _omega_rate(omega, a):
+    """dOmega_i/dt = -O_j O_k + O_i(A_j + A_k)."""
+    o1, o2, o3 = omega
+    a1, a2, a3 = a
+    return (
+        -o2 * o3 + o1 * (a2 + a3),
+        -o3 * o1 + o2 * (a3 + a1),
+        -o1 * o2 + o3 * (a1 + a2),
+    )
+
+
 def coupled_field(state: OmegaAState):
     """dOmega_i/dt = -O_j O_k + O_i(A_j + A_k) coupled to the
     Darboux-Halphen flow of the A_i; returns (dOmega, dA)."""
     if state.a is None:
         raise ValueError("coupled_field needs the A-component of the state")
-    o1, o2, o3 = state.omega
-    a1, a2, a3 = state.a
-    domega = (
-        -o2 * o3 + o1 * (a2 + a3),
-        -o3 * o1 + o2 * (a3 + a1),
-        -o1 * o2 + o3 * (a1 + a2),
-    )
-    return domega, dh_vector_field(state.a)
+    return _omega_rate(state.omega, state.a), dh_vector_field(state.a)
 
 
 # -- theta solution families ------------------------------------------------------
 
 
-def theta_A_solution(t: float) -> tuple:
-    """A_i = 2 d/dt log theta_{i+1}(i t), real for t > 0."""
+def _theta_A_sums(t: float):
+    """_theta_jets on the imaginary axis, where the nome exp(-pi t) is real."""
     if not t > 0:
         raise ValueError("t must be positive")
-    out = []
-    for which in (2, 3, 4):
-        val, dval = theta_numeric(which, 1j * t)
-        a = 2j * dval / val  # chain rule: d/dt f(i t) = i f'(i t)
-        out.append(a.real)
-    return tuple(out)
+    return _theta_jets(math.exp(-math.pi * t), _theta_term_count(t))
+
+
+def theta_A_solution(t: float) -> tuple:
+    """A_i = 2 d/dt log theta_{i+1}(i t) = -2 pi (D/S + a), real for t > 0
+    (chain rule: d/dt f(i t) = i f'(i t); a = 1/4 for theta2, see
+    _theta_jets)."""
+    (s2, d2, _), (s3, d3, _), (s4, d4, _) = _theta_A_sums(t)
+    c = -2 * math.pi
+    return (c * (d2 / s2 + 0.25), c * (d3 / s3), c * (d4 / s4))
+
+
+def theta_A_jet(t: float):
+    """(A, dA/dt) from the closed form's jet at tau = i t, both analytic:
+    A_i(t) = i t_i(i t) and dA_i/dt = -t_i'(i t)."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    state, rate = dh_theta_jet(1j * t)
+    return tuple(-s.imag for s in state), tuple(-r.real for r in rate)
 
 
 def omega_field(omega, t: float) -> tuple:
     """The Omega flow with A_i pinned to the theta solution at time t."""
-    domega, _ = coupled_field(OmegaAState(omega=tuple(omega), a=theta_A_solution(t)))
-    return domega
+    return _omega_rate(omega, theta_A_solution(t))
 
 
 class OmegaTrajectory:
@@ -291,7 +315,9 @@ def flat_conformal_factor(t: float, q0: float, C: float) -> float:
 
 
 def _thetas_at(t: float):
-    return tuple(theta_numeric(which, 1j * t)[0] for which in (2, 3, 4))
+    """(theta2, theta3, theta4) at i t, as complex numbers."""
+    (s2, _, _), (s3, _, _), (s4, _, _) = _theta_A_sums(t)
+    return complex(2 * math.exp(-0.25 * math.pi * t) * s2), complex(s3), complex(s4)
 
 
 def tod_hitchin_omega1(params: TodHitchinParams, t: float) -> complex:

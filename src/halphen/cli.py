@@ -173,12 +173,8 @@ def cmd_dh_integrate(args):
 
 
 def cmd_dh_theta(args):
-    state = dh.dh_theta_solution(args.tau)
-    h = 1e-5
-    up = dh.dh_theta_solution(args.tau + h)
-    dn = dh.dh_theta_solution(args.tau - h)
-    fd = [(u - d) / (2 * h) for u, d in zip(up, dn)]
-    residual = max(abs(a - b) for a, b in zip(fd, dh.dh_vector_field(state)))
+    state, rate = dh.dh_theta_jet(args.tau)
+    residual = max(abs(a - b) for a, b in zip(rate, dh.dh_vector_field(state)))
     results = {"state": list(state), "ode_residual": residual}
     return results, residual < args.tol, None
 
@@ -316,15 +312,14 @@ def cmd_bianchi_flat_family(args):
     omegas = []
     residuals = []
     factors = []
-    h = 1e-5
     for t in ts:
         omega = bianchi.flat_family(t, args.q0).omega
         omegas.append(omega)
-        up = bianchi.flat_family(t + h, args.q0).omega
-        dn = bianchi.flat_family(t - h, args.q0).omega
-        fd = [(u - d) / (2 * h) for u, d in zip(up, dn)]
+        # Omega_i = 1/(t + q0) + A_i, so dOmega_i/dt = -1/(t + q0)**2 + dA_i/dt
+        u = 1.0 / (t + args.q0)
+        rate = [-u * u + da for da in bianchi.theta_A_jet(t)[1]]
         field = bianchi.omega_field(omega, t)
-        residuals.append(float(max(abs(a - b) for a, b in zip(fd, field))))
+        residuals.append(float(max(abs(a - b) for a, b in zip(rate, field))))
         factors.append(float(bianchi.flat_conformal_factor(t, args.q0, args.C)))
     columns = [("t", ts), ("omega", omegas), ("residual", residuals), ("F", factors)]
     worst = max(residuals)

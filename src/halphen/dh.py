@@ -19,12 +19,21 @@ with purely rational coefficients.  T_i = (1/2) w d/dw log theta_{i+1}.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import rk
-from .qseries import PiGradedQSeries, _tau_complex, log_unit, theta_numeric, theta_series
+from .qseries import (
+    PiGradedQSeries,
+    _tau_complex,
+    _theta_jets,
+    _theta_term_count,
+    log_unit,
+    theta_numeric,  # unused here; bench/tracer.py patches dh.theta_numeric
+    theta_series,
+)
 
 __all__ = [
     "DHState",
@@ -33,6 +42,7 @@ __all__ = [
     "darboux_condition_residual",
     "dh_integrate",
     "dh_theta_solution",
+    "dh_theta_jet",
     "dh_theta_solution_series",
     "dh_series_ode_residuals",
 ]
@@ -146,17 +156,28 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
 # -- closed form ---------------------------------------------------------------
 
 
-def dh_theta_solution(tau) -> DHState:
-    """t_i = 2 theta_{i+1}'(tau)/theta_{i+1}(tau) from term-wise
-    differentiated numeric theta sums."""
+def dh_theta_jet(tau):
+    """(t, dt/dtau) of the closed form from one pass of the theta kernel,
+    both analytic (a = 1/4 for theta2, see _theta_jets):
+
+        t_i  = 2 theta'/theta = 2 pi i (D/S + a),
+        t_i' = 2 (theta''/theta - (theta'/theta)**2) = -2 pi**2 (F/S - (D/S)**2).
+    """
     t = _tau_complex(tau)
-    values = []
-    for which in (2, 3, 4):
-        val, dval = theta_numeric(which, t)
-        if val == 0:
+    state, rate = [], []
+    jets = _theta_jets(cmath.exp(1j * math.pi * t), _theta_term_count(t.imag))
+    for which, a, (s, d, f) in zip((2, 3, 4), (0.25, 0.0, 0.0), jets):
+        if s == 0:
             raise ZeroDivisionError("theta_%d vanishes at tau=%r" % (which, t))
-        values.append(2 * dval / val)
-    return DHState(*values)
+        r = d / s
+        state.append(2j * math.pi * (r + a))
+        rate.append(-2 * math.pi**2 * (f / s - r * r))
+    return DHState(*state), DHState(*rate)
+
+
+def dh_theta_solution(tau) -> DHState:
+    """t_i = 2 theta_{i+1}'(tau)/theta_{i+1}(tau), the state of dh_theta_jet."""
+    return dh_theta_jet(tau)[0]
 
 
 def dh_theta_solution_series(order: int):

@@ -600,35 +600,90 @@ def theta_eval_tail_bound(which: int, order: int, tau) -> float:
     return 2.0 * w_abs**e_next / (1.0 - w_abs**gap)
 
 
-def theta_numeric(which: int, tau):
-    """Numeric (theta(tau), d theta/d tau) by term-wise differentiated sums.
+def _theta_term_count(im_tau: float) -> int:
+    """Last n summed by _theta_jets: terms decay like exp(-pi*Im(tau)*n**2),
+    and the cutoff keeps the dropped tail below 1e-18 relative to the
+    leading term."""
+    return int(math.ceil(math.sqrt((math.log(1e18) + 10.0) / (math.pi * im_tau)))) + 3
 
-    Terms decay like exp(-pi*Im(tau)*n**2); the cutoff keeps the dropped
-    tail below 1e-18 relative to the leading term.
+
+def _theta_jets(x, n_max: int):
+    """((S, D, F) for theta2, theta3, theta4) at the nome x = exp(pi*i*tau).
+
+    Each theta is a prefactor P times S = sum c x**e, and D = sum e c x**e,
+    F = sum e**2 c x**e run over the same terms.  theta3 and theta4 have
+    P = 1 and share the powers x**(n*n), with c = 2 and c = 2 (-1)**n for
+    n >= 1 (and the constant 1), so one sum split by the parity of n gives
+    both.  theta2 = 2 x**(1/4) sum_{n>=0} x**(n*n + n): P = 2 x**(1/4) and
+    e = n*n + n.  As d/dtau x**e = pi*i*e*x**e,
+
+        theta'/theta = pi*i*(D/S + a),
+        theta''/theta - (theta'/theta)**2 = (pi*i)**2 * (F/S - (D/S)**2),
+
+    with a = 1/4 for theta2 and 0 otherwise.  Leaving theta2's 1/4 out of
+    e keeps F/S - (D/S)**2 free of the cancellation 1/16 - (1/4)**2 that
+    its full exponents (n + 1/2)**2 would bring.
+
+    The powers come from x**((n+1)**2) = x**(n*n) * x**(2n+1) and
+    x**((n+1)**2 + n+1) = x**(n*n + n) * x**(2n+2), whose step factors
+    grow by x**2 each term, so exp is never called here.  x is a float on
+    the imaginary axis and complex elsewhere; the same arithmetic serves
+    both.  Sums run to n = n_max (_theta_term_count).
+    """
+    x2 = x * x
+    # theta2 from n = 0; theta3 and theta4 split by the parity of n >= 1
+    s2, d2, f2 = 1.0, 0.0, 0.0
+    so = do = fo = se = de = fe = 0.0
+    p, dp = x, x * x2  # x**(n*n), x**(2n+1) at n = 1
+    r, dr = x2, x2 * x2  # x**(n*n + n), x**(2n+2) at n = 1
+    for n in range(1, n_max + 1):
+        e = n * n
+        t = e * p
+        if n & 1:
+            so += p
+            do += t
+            fo += e * t
+        else:
+            se += p
+            de += t
+            fe += e * t
+        p *= dp
+        dp *= x2
+        e += n
+        t = e * r
+        s2 += r
+        d2 += t
+        f2 += e * t
+        r *= dr
+        dr *= x2
+    return (
+        (s2, d2, f2),
+        (1.0 + 2 * (se + so), 2 * (de + do), 2 * (fe + fo)),
+        (1.0 + 2 * (se - so), 2 * (de - do), 2 * (fe - fo)),
+    )
+
+
+def theta_numeric(which: int, tau):
+    """Numeric (theta(tau), d theta/d tau) for theta2, theta3 or theta4.
+
+    One exp gives the nome x = exp(pi*i*tau), and _theta_jets forms every
+    power of it by multiplication (theta2 takes a second exp for its
+    prefactor 2 x**(1/4)).  x**(n*n) is a product of n step factors, the
+    k-th made by k multiplications, so it carries ~n**2/2 roundings, and
+    the relative error of x itself (~pi*Im(tau) ulp, from rounding the
+    exponent) enters it n**2 times.  Both are n**2 ulp relative to a term
+    of size |x|**(n*n), and n**2 |x|**(n*n) is bounded, so the absolute
+    error of theta and theta' stays at a few ulp of their largest term.
     """
     t = _tau_complex(tau)
-    rate = math.pi * t.imag
-    n_max = int(math.ceil(math.sqrt((math.log(1e18) + 10.0) / rate))) + 3
-    if which == 2:
-        val = 0j
-        dval = 0j
-        for n in range(n_max + 1):
-            e = (n + 0.5) ** 2
-            term = cmath.exp(1j * math.pi * t * e)
-            val += 2 * term
-            dval += 2j * math.pi * e * term
-    elif which in (3, 4):
-        sign = 1 if which == 3 else -1
-        val = 1 + 0j
-        dval = 0j
-        for n in range(1, n_max + 1):
-            e = n * n
-            term = sign**n * cmath.exp(1j * math.pi * t * e)
-            val += 2 * term
-            dval += 2j * math.pi * e * term
-    else:
+    if which not in (2, 3, 4):
         raise ValueError("theta index must be 2, 3 or 4")
-    return val, dval
+    x = cmath.exp(1j * math.pi * t)
+    s, d, _ = _theta_jets(x, _theta_term_count(t.imag))[which - 2]
+    if which == 2:
+        scale = 2 * cmath.exp(0.25j * math.pi * t)
+        return scale * s, 1j * math.pi * scale * (d + 0.25 * s)
+    return complex(s), 1j * math.pi * d
 
 
 def _theta_char_sum(ch: ThetaCharacteristics, weighted: bool, tol: float) -> complex:

@@ -50,21 +50,17 @@ def test_criterion_02_exact_chazy(capsys):
 
 def test_criterion_03_dh_closed_form(capsys):
     series_ok = all(r.is_zero() for r in dh.dh_series_ode_residuals(200))
-    h = 1e-5
     worst = 0.0
     for tau in (0.8j, 1j, 1.5j, 0.2 + 1.1j):
-        state = dh.dh_theta_solution(tau)
-        up = dh.dh_theta_solution(tau + h)
-        dn = dh.dh_theta_solution(tau - h)
-        fd = [(u - d) / (2 * h) for u, d in zip(up, dn)]
+        state, rate = dh.dh_theta_jet(tau)
         worst = max(
             worst,
-            max(abs(a - b) for a, b in zip(fd, dh.dh_vector_field(state))),
+            max(abs(a - b) for a, b in zip(rate, dh.dh_vector_field(state))),
         )
     with capsys.disabled():
         check(
             "criterion 3: theta closed form (series order 200, numeric ODE)",
-            series_ok and worst < 1e-6,
+            series_ok and worst < 1e-12,
             "numeric residual %.2e" % worst,
         )
 
@@ -119,34 +115,27 @@ def test_criterion_07_bianchi_reduction(capsys):
         reduction_ok &= domega == bianchi.classical_dh_omega_field(omega, bianchi.SELF_DUAL)
         reduction_ok &= da == dh.dh_vector_field(omega)
 
-    h = 1e-5
     worst_a = 0.0
     for t in (0.5, 1.0, 2.0):
-        a = bianchi.theta_A_solution(t)
-        fd = [
-            (u - d) / (2 * h)
-            for u, d in zip(bianchi.theta_A_solution(t + h), bianchi.theta_A_solution(t - h))
-        ]
+        a, da = bianchi.theta_A_jet(t)
         worst_a = max(
-            worst_a, max(abs(x - y) for x, y in zip(fd, dh.dh_vector_field(a)))
+            worst_a, max(abs(x - y) for x, y in zip(da, dh.dh_vector_field(a)))
         )
 
     worst_flat = 0.0
     q0 = 0.3
     for t in (0.7, 1.0, 2.0):
         omega = bianchi.flat_family(t, q0).omega
-        fd = [
-            (u - d) / (2 * h)
-            for u, d in zip(bianchi.flat_family(t + h, q0).omega, bianchi.flat_family(t - h, q0).omega)
-        ]
+        # Omega_i = 1/(t + q0) + A_i
+        rate = [-1 / (t + q0) ** 2 + da for da in bianchi.theta_A_jet(t)[1]]
         worst_flat = max(
             worst_flat,
-            max(abs(a - b) for a, b in zip(fd, bianchi.omega_field(omega, t))),
+            max(abs(a - b) for a, b in zip(rate, bianchi.omega_field(omega, t))),
         )
     with capsys.disabled():
         check(
             "criterion 7: Bianchi IX reduction, theta A-solution and flat family",
-            reduction_ok and worst_a < 1e-6 and worst_flat < 1e-8,
+            reduction_ok and worst_a < 1e-12 and worst_flat < 1e-12,
             "A residual %.2e, flat residual %.2e" % (worst_a, worst_flat),
         )
 

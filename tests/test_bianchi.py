@@ -26,6 +26,7 @@ from halphen.bianchi import (
     omega_from_c,
     omega_theta_flow,
     sd_reduced_residual,
+    theta_A_jet,
     theta_A_solution,
     tod_hitchin_omega1,
 )
@@ -223,6 +224,23 @@ def test_theta_A_satisfies_dh_flow(t):
     fd = [(u - d) / (2 * h) for u, d in zip(up, dn)]
     field = dh_vector_field(a)
     assert max(abs(x - y) for x, y in zip(fd, field)) < 1e-6
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_theta_A_jet_satisfies_dh_flow_and_finite_difference(t):
+    a, da = theta_A_jet(t)
+    for x, y in zip(a, theta_A_solution(t)):
+        assert abs(x - y) <= 1e-15 * abs(y)
+    assert max(abs(x - y) for x, y in zip(da, dh_vector_field(a))) < 1e-13
+    h = 1e-5
+    for d, u, v in zip(da, theta_A_solution(t + h), theta_A_solution(t - h)):
+        assert abs(d - (u - v) / (2 * h)) < 1e-6
+
+
+def test_omega_field_is_the_coupled_omega_rate():
+    omega, t = (1.0, -0.5, 0.25), 0.9
+    domega, _ = coupled_field(OmegaAState(omega=omega, a=theta_A_solution(t)))
+    assert omega_field(list(omega), t) == domega
 
 
 def test_theta_A_chain_rule_against_dh_solution():

@@ -161,6 +161,15 @@ def test_dh_theta(capsys):
     assert report["results"]["ode_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("tau", ["0.3,0.05", "0.1,0.1", "0,1000"])
+def test_dh_theta_analytic_residual_near_axis_and_cusp(capsys, tau):
+    # a central difference left residuals of 8e-5 and 1e-5 at the first two
+    # points; at the third theta2 underflows, but not its log-derivative
+    code, report = run_json(capsys, "dh", "theta", "--tau", tau)
+    assert code == EXIT_OK and report["ok"] is True
+    assert report["results"]["ode_residual"] < 1e-11
+
+
 def test_dh_integrate_csv_default(capsys):
     code, out = run(capsys, "dh", "integrate", "--t0", "0,1.2", "--t1", "0,2", "--tol", "1e-10")
     assert code == EXIT_OK
@@ -216,6 +225,7 @@ def test_bianchi_flat_family_csv_and_gate(capsys):
     )
     assert len(lines) == 6
     assert "np." not in out  # cells must be plain float reprs
+    assert max(float(line.split(",")[7]) for line in lines[1:]) < 1e-12
 
 
 def test_bianchi_verify_constraint_flat_family(capsys):

@@ -11,6 +11,7 @@ from halphen.dh import (
     darboux_condition_residual,
     dh_integrate,
     dh_series_ode_residuals,
+    dh_theta_jet,
     dh_theta_solution,
     dh_theta_solution_series,
     dh_vector_field,
@@ -68,6 +69,28 @@ def test_theta_solution_satisfies_ode(tau):
     fd = [(u - d) / (2 * h) for u, d in zip(up, dn)]
     field = dh_vector_field(s)
     assert max(abs(a - b) for a, b in zip(fd, field)) < 1e-6
+
+
+@pytest.mark.parametrize("tau", [0.8j, 1j, 1.5j, 0.2 + 1.1j, 0.3 + 0.05j, 0.1 + 0.1j])
+def test_theta_jet_satisfies_ode(tau):
+    state, rate = dh_theta_jet(tau)
+    assert state == dh_theta_solution(tau)
+    scale = max(abs(r) for r in rate)
+    assert max(abs(a - b) for a, b in zip(rate, dh_vector_field(state))) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("tau", [0.8j, 0.2 + 1.1j])
+def test_theta_jet_matches_finite_difference(tau):
+    h = 1e-5
+    _, rate = dh_theta_jet(tau)
+    up, dn = dh_theta_solution(tau + h), dh_theta_solution(tau - h)
+    for r, u, d in zip(rate, up, dn):
+        assert abs(r - (u - d) / (2 * h)) < 1e-6
+
+
+def test_theta_solution_at_the_cusp():
+    # theta2 underflows at Im tau = 1000, its log-derivative does not
+    assert dh_theta_solution(1000j) == (0.5j * math.pi, 0, 0)
 
 
 def test_theta_solution_sum_is_e2():
