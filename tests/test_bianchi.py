@@ -224,17 +224,10 @@ def test_theta_A_satisfies_dh_flow(t):
     fd = [(u - d) / (2 * h) for u, d in zip(up, dn)]
     field = dh_vector_field(a)
     assert max(abs(x - y) for x, y in zip(fd, field)) < 1e-6
-
-
-@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-def test_theta_A_jet_satisfies_dh_flow_and_finite_difference(t):
-    a, da = theta_A_jet(t)
-    for x, y in zip(a, theta_A_solution(t)):
-        assert abs(x - y) <= 1e-15 * abs(y)
-    assert max(abs(x - y) for x, y in zip(da, dh_vector_field(a))) < 1e-13
-    h = 1e-5
-    for d, u, v in zip(da, theta_A_solution(t + h), theta_A_solution(t - h)):
-        assert abs(d - (u - v) / (2 * h)) < 1e-6
+    a_jet, da = theta_A_jet(t)
+    assert max(abs(x - y) for x, y in zip(a_jet, a)) <= 1e-15 * max(map(abs, a))
+    assert max(abs(x - y) for x, y in zip(da, dh_vector_field(a_jet))) < 1e-13
+    assert max(abs(x - y) for x, y in zip(da, fd)) < 1e-6
 
 
 def test_omega_field_is_the_coupled_omega_rate():
