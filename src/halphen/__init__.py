@@ -4,63 +4,3 @@ self-duality, the elliptic-family connection contraction and the
 Chazy/WDVV link."""
 
 __version__ = "0.1.0"
-
-from .bianchi import (
-    ANTI_SELF_DUAL,
-    SELF_DUAL,
-    MetricCoeffs,
-    OmegaAState,
-    SelfDualitySign,
-    TodHitchinParams,
-    classical_dh_omega_field,
-    connection_one_form,
-    constraint_residual,
-    coupled_field,
-    flat_family,
-    omega_theta_flow,
-    sd_reduced_residual,
-    theta_A_solution,
-    tod_hitchin_omega1,
-)
-from .dh import (
-    DHState,
-    DHTrajectory,
-    darboux_condition_residual,
-    dh_integrate,
-    dh_theta_solution,
-    dh_theta_solution_series,
-    dh_vector_field,
-)
-from .frobenius import (
-    GammaJet,
-    PotentialJet,
-    associativity_residual,
-    chazy_e2_exact,
-    chazy_residual,
-    dh_cubic,
-    dh_cubic_roots_check,
-    structure_constants,
-    wdvv_residual_3d,
-)
-from .gauss_manin import ConnectionMatrix, gm_contract, gm_matrix, verify_R_property
-from .qseries import (
-    PiGradedQSeries,
-    TauPoint,
-    ThetaCharacteristics,
-    eisenstein_series,
-    eval_series,
-    log_unit,
-    theta_char_dz,
-    theta_char_eval,
-    theta_q,
-    theta_series,
-)
-from .ramanujan import (
-    EisensteinState,
-    MapConstants,
-    conjugacy_residual,
-    dh_to_eisenstein,
-    ramanujan_series_residual,
-    ramanujan_vector_field,
-)
-from .rk import IntegrationBlowUp

@@ -51,7 +51,6 @@ __all__ = [
     "theta_A_jet",
     "omega_field",
     "omega_theta_flow",
-    "OmegaTrajectory",
     "flat_family",
     "flat_conformal_factor",
     "tod_hitchin_omega1",
@@ -257,43 +256,16 @@ def omega_field(omega, t: float) -> tuple:
     return _omega_rate(omega, theta_A_solution(t))
 
 
-class OmegaTrajectory:
-    """Accepted integration mesh of the Omega flow along real time."""
-
-    __slots__ = ("ts", "omegas", "err_ests", "_solution")
-
-    def __init__(self, ts, omegas, err_ests, _solution):
-        self.ts = ts
-        self.omegas = omegas
-        self.err_ests = err_ests
-        self._solution = _solution
-
-    def __len__(self):
-        return len(self.ts)
-
-    def at(self, t: float) -> tuple:
-        return tuple(self._solution.at(t))
-
-
 def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
-                     max_step: float = math.inf) -> OmegaTrajectory:
-    """Integrate the Omega flow along real time with theta-pinned A."""
-    if not (t0 > 0 and t1 > t0):
-        raise ValueError("need 0 < t0 < t1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    y0 = [complex(o) for o in initial_omega]
+                     max_step: float = math.inf) -> rk.Trajectory:
+    """Integrate the Omega flow along real time with theta-pinned A
+    (0 < t0 < t1: rk.integrate and theta_A_solution refuse the rest)."""
 
     def f(t, y):
         return omega_field(y, t)
 
-    sol = rk.integrate(f, t0, t1, y0, rtol=tol, atol=tol, max_step=max_step)
-    return OmegaTrajectory(
-        ts=sol.ts,
-        omegas=[tuple(y) for y in sol.ys],
-        err_ests=sol.err_ests,
-        _solution=sol,
-    )
+    sol = rk.integrate(f, t0, t1, initial_omega, rtol=tol, atol=tol, max_step=max_step)
+    return rk.Trajectory(sol, 0, 1)
 
 
 def flat_family(t: float, q0: float) -> OmegaAState:

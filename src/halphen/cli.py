@@ -3,7 +3,7 @@ with machine-readable JSON/CSV reports.
 
 Exit codes: 0 all residuals within tolerance, 1 residual failure,
 2 usage error or invalid value, 3 numeric failure (blow-up, vanishing
-denominator)."""
+denominator, overflow, a result that is not finite)."""
 
 from __future__ import annotations
 
@@ -161,12 +161,13 @@ def make_report(args, results: dict, ok: bool) -> dict:
 
 def cmd_dh_integrate(args):
     initial = args.initial or tuple(dh.dh_theta_solution(args.t0))
-    traj = dh.dh_integrate(initial, args.t0, args.t1, tol=args.tol, max_step=args.max_step)
-    columns = [("tau", traj.taus), ("t", traj.states), ("err_est", traj.err_ests)]
+    traj = dh.dh_integrate(initial, args.t0, args.t1, tol=args.tol,
+                           max_step=args.max_step or math.inf)
+    columns = [("tau", traj.ts), ("t", traj.states), ("err_est", traj.err_ests)]
     results = {
         "initial": list(initial),
         "steps": len(traj) - 1,
-        "endpoint": {"tau": traj.taus[-1], "state": list(traj.states[-1])},
+        "endpoint": {"tau": traj.ts[-1], "state": list(traj.states[-1])},
         "max_err_est": max(traj.err_ests),
     }
     return results, True, columns
@@ -291,12 +292,12 @@ def cmd_verify_darboux(args):
 
 def cmd_bianchi_flow(args):
     traj = bianchi.omega_theta_flow(
-        args.initial, args.t0, args.t1, tol=args.tol, max_step=args.max_step
+        args.initial, args.t0, args.t1, tol=args.tol, max_step=args.max_step or math.inf
     )
-    columns = [("t", traj.ts), ("omega", traj.omegas), ("err_est", traj.err_ests)]
+    columns = [("t", traj.ts), ("omega", traj.states), ("err_est", traj.err_ests)]
     results = {
         "steps": len(traj) - 1,
-        "endpoint": {"t": traj.ts[-1], "omega": list(traj.omegas[-1])},
+        "endpoint": {"t": traj.ts[-1], "omega": list(traj.states[-1])},
         "max_err_est": max(traj.err_ests),
     }
     return results, True, columns
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", type=parse_state, default=None,
                    help="initial state as 6 floats (default: theta solution at t0)")
     p.add_argument("--tol", type=positive_float, default=1e-10)
-    p.add_argument("--max-step", type=positive_float, default=math.inf)
+    p.add_argument("--max-step", type=positive_float)
 
     p = add(dh_p, "theta", cmd_dh_theta, "dh theta")
     p.add_argument("--tau", type=parse_complex, required=True)
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=finite_float, required=True)
     p.add_argument("--initial", type=parse_triple, required=True, help="Omega1,Omega2,Omega3")
     p.add_argument("--tol", type=positive_float, default=1e-10)
-    p.add_argument("--max-step", type=positive_float, default=math.inf)
+    p.add_argument("--max-step", type=positive_float)
 
     p = add(bianchi_p, "flat-family", cmd_bianchi_flat_family, "bianchi flat-family",
             fmt_default="csv")
@@ -483,13 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cell(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("non-finite CSV cell")
+    return repr(x)
+
+
 def _csv_fields(name: str, value):
     """Header names and cells of one value: a real is NAME, a complex number
-    NAME_re,NAME_im and a triple of complex numbers NAME1_re,...,NAME3_im."""
+    NAME_re,NAME_im and a triple of complex numbers NAME1_re,...,NAME3_im.
+    A cell that is not finite raises ValueError."""
     if isinstance(value, complex):
-        return [name + "_re", name + "_im"], [repr(value.real), repr(value.imag)]
+        return [name + "_re", name + "_im"], [_cell(value.real), _cell(value.imag)]
     if isinstance(value, (int, float)):
-        return [name], [repr(float(value))]
+        return [name], [_cell(float(value))]
     fields = [_csv_fields("%s%d" % (name, i), complex(v)) for i, v in enumerate(value, 1)]
     return [h for header, _ in fields for h in header], [c for _, cells in fields for c in cells]
 
@@ -516,16 +524,23 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (ZeroDivisionError, IntegrationBlowUp) as exc:
+    except (ZeroDivisionError, OverflowError, IntegrationBlowUp) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 
-    if fmt == "csv":
-        if columns is None:
-            parser.error("command %r has no CSV form" % args.command_name)
-        payload = render_csv(columns)
-    else:
-        payload = json.dumps(make_report(args, results, ok), indent=2, sort_keys=True) + "\n"
+    if fmt == "csv" and columns is None:
+        parser.error("command %r has no CSV form" % args.command_name)
+    # reports are strict JSON (RFC 8259 has no NaN or Infinity) and CSV
+    # cells finite floats; a value outside both is a numeric failure
+    try:
+        if fmt == "csv":
+            payload = render_csv(columns)
+        else:
+            report = make_report(args, results, ok)
+            payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        print("numeric failure: the report holds a value that is not finite", file=sys.stderr)
+        return EXIT_NUMERIC
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -37,7 +37,6 @@ from .qseries import (
 
 __all__ = [
     "DHState",
-    "DHTrajectory",
     "dh_vector_field",
     "darboux_condition_residual",
     "dh_integrate",
@@ -54,11 +53,6 @@ class DHState(namedtuple("DHState", "t1 t2 t3")):
     field arithmetic, so both work)."""
 
     __slots__ = ()
-
-    @classmethod
-    def from_seq(cls, seq) -> "DHState":
-        a, b, c = seq
-        return cls(a, b, c)
 
 
 def dh_vector_field(state):
@@ -91,66 +85,33 @@ def darboux_condition_residual(state):
 # -- numeric integration -------------------------------------------------------
 
 
-class DHTrajectory:
-    """Accepted integration mesh along a straight tau-segment."""
-
-    __slots__ = ("taus", "states", "err_ests", "_tau0", "_dtau", "_solution")
-
-    def __init__(self, taus, states, err_ests, _tau0, _dtau, _solution):
-        self.taus = taus
-        self.states = states
-        self.err_ests = err_ests
-        self._tau0 = _tau0
-        self._dtau = _dtau
-        self._solution = _solution
-
-    def __len__(self):
-        return len(self.taus)
-
-    def at(self, tau) -> DHState:
-        """Dense-output state at a point of the integrated segment."""
-        s = (tau - self._tau0) / self._dtau
-        if abs(s.imag) > 1e-9:
-            raise ValueError("tau=%r is not on the integrated segment" % (tau,))
-        return DHState.from_seq(self._solution.at(s.real))
-
-
-def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) -> DHTrajectory:
+def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) -> rk.Trajectory:
     """Integrate the flow along the straight segment tau0 -> tau1.
 
     The segment is parameterised by arc fraction s in [0, 1]; tolerances
-    are applied as both absolute and relative.  Blow-up (the flow has
-    movable poles) raises rk.IntegrationBlowUp with the last trusted tau.
+    are applied as both absolute and relative.  The trajectory's ts are
+    the mesh points' tau.  Blow-up (the flow has movable poles) raises
+    rk.IntegrationBlowUp with the last trusted tau.
     """
     t0 = _tau_complex(tau0)
     t1 = _tau_complex(tau1)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     dtau = t1 - t0
     if dtau == 0:
         raise ValueError("tau0 and tau1 coincide")
-    y0 = [complex(c) for c in initial]
 
     def f(s, y):
         return [dtau * v for v in dh_vector_field(y)]
 
     s_max = max_step / abs(dtau) if math.isfinite(max_step) else math.inf
     try:
-        sol = rk.integrate(f, 0.0, 1.0, y0, rtol=tol, atol=tol, max_step=s_max)
+        sol = rk.integrate(f, 0.0, 1.0, initial, rtol=tol, atol=tol, max_step=s_max)
     except rk.IntegrationBlowUp as exc:
         raise rk.IntegrationBlowUp(
             "Darboux-Halphen blow-up near tau=%r: %s" % (t0 + exc.t_reached * dtau, exc),
             exc.t_reached,
             exc.y_reached,
         ) from exc
-    return DHTrajectory(
-        taus=[t0 + s * dtau for s in sol.ts],
-        states=[DHState(*y) for y in sol.ys],
-        err_ests=sol.err_ests,
-        _tau0=t0,
-        _dtau=dtau,
-        _solution=sol,
-    )
+    return rk.Trajectory(sol, t0, dtau)
 
 
 # -- closed form ---------------------------------------------------------------

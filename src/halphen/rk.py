@@ -23,7 +23,7 @@ import sys
 from collections import namedtuple
 from itertools import chain
 
-__all__ = ["IntegrationBlowUp", "RkSolution", "integrate"]
+__all__ = ["IntegrationBlowUp", "RkSolution", "Trajectory", "integrate"]
 
 # Dormand-Prince 5(4) tableau.
 C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -116,6 +116,39 @@ class RkSolution:
         h = step.h
         return [v + h * (w1 * p1 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7)
                 for v, p1, p3, p4, p5, p6, p7 in zip(step.y_old, k1, k3, k4, k5, k6, k7)]
+
+
+class Trajectory:
+    """The accepted mesh of an RkSolution in the caller's variable
+    x = x0 + s*dx, s the integrator's real variable: a complex tau-segment
+    takes (tau0, tau1 - tau0), real time (0, 1).  ts holds x at the mesh
+    points, states the mesh states as tuples."""
+
+    __slots__ = ("ts", "states", "err_ests", "_x0", "_dx", "_solution")
+
+    def __init__(self, solution: RkSolution, x0, dx):
+        self.ts = [x0 + s * dx for s in solution.ts]
+        self.states = [tuple(y) for y in solution.ys]
+        self.err_ests = solution.err_ests
+        self._x0 = x0
+        self._dx = dx
+        self._solution = solution
+
+    @property
+    def omegas(self):
+        """Read-only alias of states, the name the benchmark's workloads
+        read the Omega flow's states under."""
+        return self.states
+
+    def __len__(self):
+        return len(self.ts)
+
+    def at(self, x) -> tuple:
+        """Dense-output state at a point x of the integrated segment."""
+        s = (x - self._x0) / self._dx
+        if abs(s.imag) > 1e-9:
+            raise ValueError("%r is not on the integrated segment" % (x,))
+        return tuple(self._solution.at(s.real))
 
 
 def _weights(y, y_new, rtol, atol) -> list:

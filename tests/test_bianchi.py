@@ -255,7 +255,7 @@ def test_theta_A_large_time_pattern():
 
 def test_omega_flow_zero_stays_zero():
     traj = omega_theta_flow((0, 0, 0), 0.5, 2.0, tol=1e-10)
-    assert max(max(abs(c) for c in om) for om in traj.omegas) == 0
+    assert max(max(abs(c) for c in om) for om in traj.states) == 0
 
 
 def test_omega_flow_reproduces_flat_family():

@@ -25,9 +25,13 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def _reject_constant(name):
+    raise ValueError("%s is not JSON (RFC 8259)" % name)
+
+
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_parse_helpers():
@@ -95,6 +99,15 @@ def test_negative_value_after_flag(capsys):
         ("dh integrate --t0 0,1 --t1 2,1 --initial 1,0,1,0,1,0", EXIT_NUMERIC),  # blow-up
         ("series eisenstein --k 4 --order %d" % (MAX_ORDER + 1), EXIT_USAGE),
         ("verify ramanujan --order %d" % (MAX_ORDER + 1), EXIT_USAGE),
+        # theta sums past MAX_THETA_TERMS
+        ("dh theta --tau 0,1e-300", EXIT_USAGE),
+        ("bianchi verify-constraint --t 1e-300", EXIT_USAGE),
+        ("bianchi flow --t0 1e-300 --t1 1 --initial 1,0.5,0.25", EXIT_USAGE),
+        ("dh integrate --t0 0,1e-300 --t1 0,1", EXIT_USAGE),
+        ("frobenius wdvv --tau 0,1 --x 1e100,0", EXIT_NUMERIC),  # overflow
+        # results that are not finite: JSON (nan) and CSV (inf)
+        ("bianchi verify-constraint --t 1 --omega 1e300,1e300,1e300", EXIT_NUMERIC),
+        ("bianchi flat-family --q0 0.3 --C 1.7e308", EXIT_NUMERIC),
     ],
 )
 def test_domain_errors_exit_codes(capsys, argv, want):
@@ -290,12 +303,15 @@ def test_out_file_and_summary_line(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_numpy():
-    # the library and CLI run on the standard library alone
+    # the library and CLI run on the standard library alone, and the
+    # package root imports none of its submodules
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
         [sys.executable, "-c",
-         "import halphen.cli, sys; assert 'numpy' not in sys.modules; "
+         "import halphen, sys; "
+         "assert not [m for m in sys.modules if m.startswith('halphen.')], sys.modules; "
+         "import halphen.cli; assert 'numpy' not in sys.modules; "
          "assert 'dataclasses' not in sys.modules"],
         env=env, check=True,
     )

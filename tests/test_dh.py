@@ -163,16 +163,16 @@ def test_integrate_difference_law_on_dense_output():
     tol = 1e-8
     traj = dh_integrate(dh_theta_solution(1.2j), 1.2j, 1.8j, tol=tol)
     h = 1e-4
-    dtau = traj._dtau
+    dtau = traj._dx
     for k in range(len(traj) - 1):
-        tau_a, tau_b = traj.taus[k], traj.taus[k + 1]
+        tau_a, tau_b = traj.ts[k], traj.ts[k + 1]
         tau_m = tau_a + 0.5 * (tau_b - tau_a)
         if abs(tau_m - tau_a) < 2 * h * abs(dtau):
             continue
         step = h * dtau / abs(dtau)
-        up = traj.at(tau_m + step)
-        dn = traj.at(tau_m - step)
-        mid = traj.at(tau_m)
+        up = DHState(*traj.at(tau_m + step))
+        dn = DHState(*traj.at(tau_m - step))
+        mid = DHState(*traj.at(tau_m))
         fd = ((up.t1 - up.t2) - (dn.t1 - dn.t2)) / (2 * step)
         law = 2 * mid.t3 * (mid.t1 - mid.t2)
         assert abs(fd - law) < 10 * tol
@@ -194,7 +194,6 @@ def test_integrate_validates_arguments():
         dh_integrate((0, 0, 0), 1j, 1j, tol=1e-8)
 
 
-def test_state_iteration_and_from_seq():
+def test_state_iteration():
     s = DHState(1j, 2j, 3j)
     assert tuple(s) == (1j, 2j, 3j)
-    assert DHState.from_seq([1, 2, 3]) == DHState(1, 2, 3)

@@ -61,7 +61,7 @@ def test_dh_mesh_matches_numpy_with_its_error_norm(tau0, tau1, tol):
     with numpy_error_norm():
         traj = dh.dh_integrate(initial, tau0, tau1, tol=tol)
     ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, tol, tol)
-    assert_same_mesh(traj.taus, traj.states, dh_segment_mesh(tau0, tau1, ref), ref.ys)
+    assert_same_mesh(traj.ts, traj.states, dh_segment_mesh(tau0, tau1, ref), ref.ys)
 
 
 @settings(max_examples=40, deadline=None)

@@ -236,11 +236,6 @@ def test_theta_q_on_q_units():
     assert got == series({1: -24, 2: -144}, 2)
 
 
-def test_theta_q_w_units_is_one_eighth_euler():
-    t3 = theta_series(3, 20)
-    assert theta_q(t3, var="w") == series({4: 1, 16: 4}, 20)
-
-
 def test_truncate_cannot_extend():
     a = series({0: 1}, 5)
     assert a.truncate(3).trunc_order == 3
@@ -412,6 +407,8 @@ def test_characteristics_dz_equals_ds():
 def test_characteristics_require_upper_half_plane():
     with pytest.raises(ValueError):
         ThetaCharacteristics(r=0.0, s=0.0, z=0.0, sigma=1.0)
+    with pytest.raises(ValueError):  # a sum past MAX_THETA_TERMS
+        theta_char_eval(ThetaCharacteristics(r=0.0, s=0.0, z=0.0, sigma=1e-300j))
 
 
 def test_tau_point_validation():

@@ -49,12 +49,15 @@ def test_meshes_are_sized_by_their_points():
     traj = dh.dh_integrate(dh.dh_theta_solution(1.2j), 1.2j, 1.5j, tol=1e-8)
     flow = bianchi.omega_theta_flow((1.0, 0.5, 0.25), 0.7, 1.0, tol=1e-8)
     sol = flow._solution
-    assert len(traj) == len(traj.taus) == len(traj.states) > 3
-    assert len(flow) == len(flow.ts) == len(flow.omegas) > 3
+    assert len(traj) == len(traj.ts) == len(traj.states) > 3
+    assert len(flow) == len(flow.ts) == len(flow.states) > 3
     assert traj.at(1.2j) == traj.states[0]
     for mesh in (traj, flow, sol):
         with pytest.raises(AttributeError):
             mesh.extra = None
+    assert flow.omegas is flow.states  # the benchmark's name, read-only
+    with pytest.raises(AttributeError):
+        flow.omegas = []
 
 
 def test_tracer_bindings_resolve():

@@ -167,7 +167,7 @@ def test_numpy_oracle_matches_dh_readme_integration():
     initial = tuple(dh.dh_theta_solution(tau0))
     traj = dh.dh_integrate(initial, tau0, tau1, tol=1e-10)
     ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, 1e-10, 1e-10)
-    assert_same_mesh(traj.taus, traj.states, dh_segment_mesh(tau0, tau1, ref), ref.ys)
+    assert_same_mesh(traj.ts, traj.states, dh_segment_mesh(tau0, tau1, ref), ref.ys)
     for a, b in zip(traj.err_ests, ref.err_ests):
         assert abs(a - b) <= 1e-13 * b
     for s in (0.1, 0.45, 0.77):
@@ -184,7 +184,7 @@ def test_numpy_oracle_matches_omega_flow(t0, t1, initial, tol, max_step):
     traj = bianchi.omega_theta_flow(initial, t0, t1, tol=tol, max_step=max_step)
     ref = numpy_integrate(lambda t, y: bianchi.omega_field(y, t), t0, t1, initial, tol, tol,
                           max_step)
-    assert_same_mesh(traj.ts, traj.omegas, ref.ts, ref.ys)
+    assert_same_mesh(traj.ts, traj.states, ref.ts, ref.ys)
     mid = 0.5 * (t0 + t1)
     want = ref.at(mid)
     assert max(abs(a - b) for a, b in zip(traj.at(mid), want)) <= 1e-13 * max(abs(want))
