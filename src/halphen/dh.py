@@ -91,7 +91,8 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
     The segment is parameterised by arc fraction s in [0, 1]; tolerances
     are applied as both absolute and relative.  The trajectory's ts are
     the mesh points' tau.  Blow-up (the flow has movable poles) raises
-    rk.IntegrationBlowUp with the last trusted tau.
+    rk.IntegrationBlowUp with the last trusted tau, as does a spent step
+    budget, reported as the integration stopping.
     """
     t0 = _tau_complex(tau0)
     t1 = _tau_complex(tau1)
@@ -106,8 +107,10 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
     try:
         sol = rk.integrate(f, 0.0, 1.0, initial, rtol=tol, atol=tol, max_step=s_max)
     except rk.IntegrationBlowUp as exc:
+        # a spent step budget is not a blow-up; rk's message says why
+        what = "integration stopped" if str(exc).startswith("step budget") else "blow-up"
         raise rk.IntegrationBlowUp(
-            "Darboux-Halphen blow-up near tau=%r: %s" % (t0 + exc.t_reached * dtau, exc),
+            "Darboux-Halphen %s near tau=%r: %s" % (what, t0 + exc.t_reached * dtau, exc),
             exc.t_reached,
             exc.y_reached,
         ) from exc

@@ -32,6 +32,16 @@ product are unpacked, n the truncation order of the result: the higher
 coefficients are unknown, not zero, and being multiples of 2**(s*(n + 1))
 for a slot of s bits they vanish exactly under the mask that keeps the low
 slots.
+
+Theta-derived series lie on an exponent lattice lo + g*Z: in w, theta3
+and theta4 on 4Z (exponents 4n**2) and theta2 on 1 + 8Z ((2n + 1)**2),
+and so do their powers, units, logarithms and the T_i of the theta ODE
+identity, with g = 4 or 8.  A series' stride is the gcd of its nonzero
+exponents' offsets from its first, and a product's exponents lie on
+lo_a + lo_b + gcd(g_a, g_b)*Z.  Entries off the lattice are zero, so
+packing only a[lo_a::g] and b[lo_b::g] is exact and makes the big-integer
+product g times shorter; reciprocal runs its recurrence on num[::g] alike.
+The stride scan stops at gcd 1, so a dense series (g = 1) reads two terms.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
 
 __all__ = [
     "PiGradedQSeries",
@@ -72,16 +83,21 @@ def _as_fraction(x) -> Fraction:
 
 
 def _support(num: list, n: int):
-    """(first, last) index of the nonzero entries of num[:n + 1], or None."""
-    lo = 0
-    while lo <= n and not num[lo]:
-        lo += 1
-    if lo > n:
+    """(first, last, stride) of the nonzero entries of num[:n + 1], or None;
+    the stride is 0 for a single term (module docstring)."""
+    nonzero = compress(range(n + 1), num)
+    lo = next(nonzero, None)
+    if lo is None:
         return None
+    g = 0
+    for k in nonzero:
+        g = math.gcd(g, k - lo)
+        if g == 1:
+            break
     hi = n
     while not num[hi]:
         hi -= 1
-    return lo, hi
+    return lo, hi, g
 
 
 def _pack(num: list, slot: int, bias_bytes: bytes) -> int:
@@ -97,16 +113,20 @@ def _pack(num: list, slot: int, bias_bytes: bytes) -> int:
 
 def _convolve_low(a: list, b: list, n: int) -> list:
     """Coefficients 0..n of the product of the integer polynomials a and b,
-    by Kronecker substitution; the module docstring gives the slot width."""
+    by Kronecker substitution on their common exponent lattice lo + g*Z;
+    the module docstring gives the slot width."""
     out = [0] * (n + 1)
     square = a is b
     sa, sb = _support(a, n), _support(b, n)
     if sa is None or sb is None or sa[0] + sb[0] > n:
         return out
-    lo = sa[0] + sb[0]
-    # entries whose every product lands above n are not packed
-    a = a[sa[0] : min(sa[1], n - sb[0]) + 1]
-    b = b[sb[0] : min(sb[1], n - sa[0]) + 1]
+    (lo_a, hi_a, g_a), (lo_b, hi_b, g_b) = sa, sb
+    lo = lo_a + lo_b
+    g = math.gcd(g_a, g_b) or 1
+    # entries whose every product lands above n are not packed, nor the
+    # zeros off the lattice
+    a = a[lo_a : min(hi_a, n - lo_b) + 1 : g]
+    b = b[lo_b : min(hi_b, n - lo_a) + 1 : g]
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
@@ -114,7 +134,7 @@ def _convolve_low(a: list, b: list, n: int) -> list:
         + 2
     )
     slot = (bits + 7) // 8
-    keep = min(n - lo, len(a) + len(b) - 2) + 1
+    keep = min((n - lo) // g, len(a) + len(b) - 2) + 1
     bias_bytes = (b"\0" * (slot - 1) + b"\x80") * max(keep, len(a), len(b))
     packed_a = _pack(a, slot, bias_bytes)
     # CPython squares faster than it multiplies two different integers
@@ -128,7 +148,7 @@ def _convolve_low(a: list, b: list, n: int) -> list:
     raw = biased.to_bytes(width, "little")
     half = 1 << (8 * slot - 1)
     from_bytes = int.from_bytes
-    out[lo : lo + keep] = [
+    out[lo : lo + g * keep : g] = [
         from_bytes(raw[i : i + slot], "little") - half for i in range(0, width, slot)
     ]
     return out
@@ -349,17 +369,20 @@ class PiGradedQSeries:
     def reciprocal(self) -> "PiGradedQSeries":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        With a = num/den and a0 = num[0], the inverse is den * b where
-        b_m = c_m / a0**(m + 1) and the integers c_m follow from
+        A unit on g*Z is A(x**g) with inverse (1/A)(x**g), so num below is
+        A's, to order n = trunc_order // g.  With A = num/den and
+        a0 = num[0], 1/A is den * b where b_m = c_m / a0**(m + 1) and the
+        integers c_m follow from
         c_0 = 1, c_m = -sum_{k=1..m} num[k] * a0**(k - 1) * c_{m-k};
         over the common denominator a0**(n + 1) the numerator of b_m is
         c_m * a0**(n - m).
         """
-        num = self.num
-        a0 = num[0]
+        a0 = self.num[0]
         if not a0:
             raise ValueError("series with zero constant term has no reciprocal")
-        n = self.trunc_order
+        g = _support(self.num, self.trunc_order)[2] or 1
+        num = self.num[::g]
+        n = len(num) - 1
         weights = []
         power = 1
         for k in range(1, n + 1):
@@ -386,7 +409,9 @@ class PiGradedQSeries:
         if out_den < 0:
             out_den = -out_den
             c = [-x for x in c]
-        return PiGradedQSeries._from_ints(c, out_den, -self.pi_power)
+        out = [0] * (self.trunc_order + 1)
+        out[::g] = c
+        return PiGradedQSeries._from_ints(out, out_den, -self.pi_power)
 
     def with_pi_power(self, k: int) -> "PiGradedQSeries":
         """Same rational coefficients under grading k.  Relabelling the grade

@@ -6,7 +6,8 @@ Math. 6 (1980) 19-26; Hairer, Norsett & Wanner, Solving ODEs I, II.6).  The
 state vector may be complex; the independent variable is real (callers
 integrating along a complex segment parameterise it by arc fraction).
 Blow-up - a non-finite state or a step size driven below machine resolution
-- raises IntegrationBlowUp instead of silently clipping.
+- raises IntegrationBlowUp instead of silently clipping, and so does a spent
+step budget (MAX_STEPS), which is stiffness or a long span, not a blow-up.
 
 Pure Python: states are lists of complex, and f(t, y) receives such a list
 and may return any sequence of numbers.  The stages are unrolled, each
@@ -267,6 +268,7 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
             rejected = True
             h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
     else:
-        raise IntegrationBlowUp("step budget exhausted at t=%g" % t, t, y)
+        raise IntegrationBlowUp("step budget exhausted at t=%g after MAX_STEPS=%d steps: the flow "
+                                "may be stiff or the span too long" % (t, MAX_STEPS), t, y)
 
     return RkSolution(ts=ts, ys=ys, err_ests=err_ests, steps=steps)

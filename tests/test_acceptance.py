@@ -194,12 +194,29 @@ def test_criterion_10_cross_checks(capsys):
         )
 
 
+def _jacobi_quartic_residual(n):
+    p2, p3, p4 = (qseries.theta_series(k, n) ** 4 for k in (2, 3, 4))
+    return [p3 - p2 - p4]
+
+
+def _log_theta2_residual(n):
+    """theta2 = 2w u (to order n + 1, so that u has order n): the Euler
+    derivative of log_unit's log u, which comes through reciprocal, times u
+    must rebuild w u' exactly."""
+    theta2 = qseries.theta_series(2, n + 1)
+    m, c, log_u = qseries.log_unit(theta2)
+    u = qseries.PiGradedQSeries([(k - m, v / c) for k, v in theta2.terms()], n)
+    return [log_u.x_ddx() * u - u.x_ddx()]
+
+
 def test_criterion_11_exact_identities_at_order_3200(capsys):
     n = 3200
     checks = {
         "ramanujan": lambda: ramanujan.ramanujan_series_residual(n),
         "chazy": lambda: [frobenius.chazy_e2_exact(n)],
         "theta ODE": lambda: dh.dh_series_ode_residuals(n),
+        "jacobi quartic": lambda: _jacobi_quartic_residual(n),
+        "log theta2": lambda: _log_theta2_residual(n),
     }
     ok = True
     details = []

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from halphen import qseries, rk
 from halphen.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -218,6 +219,15 @@ def test_dh_integrate_blowup_exit_code(capsys):
     assert code == EXIT_NUMERIC
 
 
+def test_dh_integrate_spent_step_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(rk, "MAX_STEPS", 50)
+    code = main(["dh", "integrate", "--t0", "0,1", "--t1", "0,1e6"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert "integration stopped" in err and "MAX_STEPS=50" in err
+    assert "blow-up" not in err
+
+
 def test_bianchi_flow_csv(capsys):
     code, out = run(
         capsys, "bianchi", "flow", "--t0", "0.7", "--t1", "1.2",
@@ -254,6 +264,26 @@ def test_bianchi_verify_constraint_generic_violation(capsys):
     )
     assert code == EXIT_RESIDUAL
     assert report["results"]["constraint_satisfied"] is False
+
+
+@pytest.mark.parametrize("t", ["1000", "2000"])
+def test_bianchi_verify_constraint_where_theta2_underflows(capsys, t):
+    # theta2(it) and its series both underflow to 0.0: exact agreement passes
+    code, report = run_json(capsys, "bianchi", "verify-constraint", "--t", t)
+    assert code == EXIT_OK
+    assert report["results"]["constraint_satisfied"] is True
+    assert report["results"]["theta_prefactors_ok"] is True
+
+
+@pytest.mark.parametrize("t", ["1.0", "1000"])
+def test_bianchi_verify_constraint_catches_a_wrong_theta(capsys, monkeypatch, t):
+    right = qseries.theta_char_eval
+    monkeypatch.setattr(
+        qseries, "theta_char_eval", lambda ch: right(ch) * (1 + 1e-9) + 1e-300
+    )
+    code, report = run_json(capsys, "bianchi", "verify-constraint", "--t", t)
+    assert code == EXIT_RESIDUAL
+    assert report["results"]["theta_prefactors_ok"] is False
 
 
 def test_frobenius_wdvv(capsys):

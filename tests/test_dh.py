@@ -17,6 +17,7 @@ from halphen.dh import (
     dh_vector_field,
 )
 from halphen.qseries import eisenstein_series, eval_series
+from halphen import rk
 from halphen.rk import IntegrationBlowUp
 from halphen.sampling import random_state
 
@@ -181,8 +182,22 @@ def test_integrate_difference_law_on_dense_output():
 def test_integrate_reports_blowup():
     # equal components obey a' = a^2: from a=1 at tau0=i the pole sits at
     # tau0 + 1, inside the segment below.
-    with pytest.raises(IntegrationBlowUp):
+    with pytest.raises(IntegrationBlowUp) as exc:
         dh_integrate((1, 1, 1), 1j, 2 + 1j, tol=1e-8)
+    assert "Darboux-Halphen blow-up near tau=" in str(exc.value)
+
+
+def test_integrate_spent_step_budget_is_not_a_blowup(monkeypatch):
+    # Toward the cusp the flow damps t2 - t3 at rate pi per unit of Im tau:
+    # stiff, not singular, so DOPRI5's steps stay near 1 in Im tau and any
+    # budget runs out long before 1e6 i.  A small budget keeps this fast.
+    monkeypatch.setattr(rk, "MAX_STEPS", 50)
+    with pytest.raises(IntegrationBlowUp) as exc:
+        dh_integrate(dh_theta_solution(1j), 1j, 1e6j, tol=1e-12)
+    msg = str(exc.value)
+    assert msg.startswith("Darboux-Halphen integration stopped near tau=")
+    assert "MAX_STEPS=50" in msg and "stiff" in msg
+    assert "blow-up" not in msg
 
 
 def test_integrate_validates_arguments():

@@ -1,7 +1,8 @@
 """Property tests of the dense series engine against the naive dict-of-Fraction
 engine kept in test_qseries.py: exact equality on random signed, rational
 and wide (above 64-bit) coefficients, zero series, mixed truncation orders
-and nonzero pi gradings."""
+and nonzero pi gradings, and on series supported on an exponent lattice
+lo + g*Z, as theta-derived series are."""
 
 import cmath
 import math
@@ -21,7 +22,12 @@ from test_qseries import (  # noqa: E402
     ref,
 )
 
-from halphen.qseries import PiGradedQSeries, eval_series, log_unit  # noqa: E402
+from halphen.qseries import (  # noqa: E402
+    PiGradedQSeries,
+    eval_series,
+    log_unit,
+    theta_series,
+)
 
 # Coefficients from small to wider than 64 bits, over denominators from 1 to
 # 2**70: the widest operands set the Kronecker slot width.
@@ -39,6 +45,23 @@ def series_data(draw, order=st.integers(0, 40), pi_power=st.integers(-3, 3), con
     """(coefficient dict, trunc_order, pi_power); dense, sparse or empty."""
     n = draw(order)
     coeffs = draw(st.dictionaries(st.integers(0, n), rationals, max_size=n + 1))
+    if const:
+        coeffs[0] = draw(rationals.filter(bool))
+    return coeffs, n, draw(pi_power)
+
+
+@st.composite
+def lattice_data(draw, stride=st.integers(1, 8), pi_power=st.integers(-3, 3), const=False):
+    """(coefficient dict, trunc_order, pi_power) with every exponent on lo + g*Z;
+    n - lo need not be a multiple of g, and one entry (a monomial) or none
+    (the zero series) are drawn too.  const puts lo at 0 with a nonzero
+    constant term."""
+    n = draw(st.integers(0, 90))
+    g = draw(stride)
+    lo = 0 if const else draw(st.integers(0, n))
+    slots = (n - lo) // g
+    exps = st.integers(0, slots).map(lambda i: lo + g * i)
+    coeffs = draw(st.dictionaries(exps, rationals, max_size=slots + 1))
     if const:
         coeffs[0] = draw(rationals.filter(bool))
     return coeffs, n, draw(pi_power)
@@ -156,3 +179,82 @@ def test_eval_series_bit_identical_to_fraction_sum(a, im):
     for n, c in s.terms():
         acc += complex(c) * x**n
     assert eval_series(s, tau) == (1j * math.pi) ** s.pi_power * acc
+
+
+# -- operands on an exponent lattice ------------------------------------------
+
+
+@slow
+@given(lattice_data(), lattice_data())
+def test_lattice_mul_matches_naive(a, b):
+    # independent strides: the product runs on their gcd
+    got = build(a) * build(b)
+    assert ref(got) == naive_mul(a, b)
+    assert_reduced(got)
+
+
+@slow
+@given(
+    st.integers(1, 8).flatmap(
+        lambda g: st.tuples(
+            lattice_data(stride=st.just(g)),
+            lattice_data(stride=st.sampled_from([g, 2 * g, 3 * g])),
+        )
+    )
+)
+def test_lattice_mul_on_a_common_stride_matches_naive(pair):
+    a, b = pair
+    got = build(a) * build(b)
+    assert ref(got) == naive_mul(a, b)
+    assert_reduced(got)
+
+
+@slow
+@given(lattice_data())
+def test_lattice_square_and_cube_match_naive(a):
+    s = build(a)
+    square = naive_mul(a, a)
+    assert ref(s * s) == square
+    assert ref(s**2) == square
+    assert ref(s**3) == naive_mul(square, a)
+
+
+@slow
+@given(lattice_data(const=True))
+def test_lattice_reciprocal_matches_naive(a):
+    got = build(a).reciprocal()
+    assert ref(got) == naive_reciprocal(a)
+    assert_reduced(got)
+
+
+@slow
+@given(lattice_data(pi_power=st.just(0)))
+def test_lattice_log_unit_matches_naive(a):
+    assume(any(a[0].values()))
+    m, c, log_part = log_unit(build(a))
+    assert (m, c, ref(log_part)) == naive_log_unit(a)
+    assert_reduced(log_part)
+
+
+def test_theta_fourth_powers_match_divisor_sums_at_order_3200():
+    """theta3**4 = sum_m r4(m) w**(4m) with r4(m) = 8 * (sum of the divisors
+    of m not divisible by 4), and theta2**4 = 16 sum_m sigma1(2m+1) w**(4(2m+1)),
+    both tabulated here by a divisor sieve in plain ints."""
+    n = 3200
+    top = n // 4
+    r4 = [1] + [0] * top
+    sigma1 = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for k in range(d, top + 1, d):
+            sigma1[k] += d
+            if d % 4:
+                r4[k] += 8 * d
+    want3 = [0] * (n + 1)
+    want2 = [0] * (n + 1)
+    for k in range(top + 1):
+        want3[4 * k] = r4[k]
+        if k % 2:
+            want2[4 * k] = 16 * sigma1[k]
+    for which, want in ((3, want3), (2, want2)):
+        got = theta_series(which, n) ** 4
+        assert (got.num, got.den, got.trunc_order) == (want, 1, n)
