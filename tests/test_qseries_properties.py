@@ -67,6 +67,10 @@ def lattice_data(draw, stride=st.integers(1, 8), pi_power=st.integers(-3, 3), co
     return coeffs, n, draw(pi_power)
 
 
+# dense, sparse or lattice operands
+operands = st.one_of(series_data(), lattice_data())
+
+
 def build(data):
     coeffs, n, p = data
     return PiGradedQSeries(coeffs, n, p)
@@ -87,7 +91,7 @@ slow = settings(deadline=None, max_examples=60)
 
 
 @slow
-@given(series_data(), series_data())
+@given(operands, operands)
 def test_mul_matches_naive(a, b):
     got = build(a) * build(b)
     assert ref(got) == naive_mul(a, b)
@@ -95,10 +99,13 @@ def test_mul_matches_naive(a, b):
 
 
 @slow
-@given(series_data())
+@given(operands)
 def test_square_matches_naive(a):
     s = build(a)
-    assert ref(s * s) == naive_mul(a, a)
+    square = naive_mul(a, a)
+    assert ref(s * s) == square
+    assert ref(s**2) == square
+    assert ref(s**3) == naive_mul(square, a)
 
 
 @slow
@@ -121,7 +128,7 @@ def test_scalar_mul_matches_naive(a, c):
 
 
 @slow
-@given(series_data(order=st.integers(0, 25), const=True))
+@given(st.one_of(series_data(order=st.integers(0, 25), const=True), lattice_data(const=True)))
 def test_reciprocal_matches_naive(a):
     got = build(a).reciprocal()
     assert ref(got) == naive_reciprocal(a)
@@ -129,7 +136,12 @@ def test_reciprocal_matches_naive(a):
 
 
 @slow
-@given(series_data(order=st.integers(1, 25), pi_power=st.just(0)))
+@given(
+    st.one_of(
+        series_data(order=st.integers(1, 25), pi_power=st.just(0)),
+        lattice_data(pi_power=st.just(0)),
+    )
+)
 def test_log_unit_matches_naive(a):
     assume(any(a[0].values()))
     m, c, log_part = log_unit(build(a))
@@ -184,56 +196,22 @@ def test_eval_series_bit_identical_to_fraction_sum(a, im):
 # -- operands on an exponent lattice ------------------------------------------
 
 
-@slow
-@given(lattice_data(), lattice_data())
-def test_lattice_mul_matches_naive(a, b):
-    # independent strides: the product runs on their gcd
-    got = build(a) * build(b)
-    assert ref(got) == naive_mul(a, b)
-    assert_reduced(got)
+@st.composite
+def lattice_pair(draw):
+    """Two lattice operands whose strides are equal, multiples of one
+    another, or drawn independently so that the product runs on their gcd."""
+    g = draw(st.integers(1, 8))
+    g_b = draw(st.one_of(st.sampled_from([g, 2 * g, 3 * g]), st.integers(1, 8)))
+    return draw(lattice_data(stride=st.just(g))), draw(lattice_data(stride=st.just(g_b)))
 
 
 @slow
-@given(
-    st.integers(1, 8).flatmap(
-        lambda g: st.tuples(
-            lattice_data(stride=st.just(g)),
-            lattice_data(stride=st.sampled_from([g, 2 * g, 3 * g])),
-        )
-    )
-)
-def test_lattice_mul_on_a_common_stride_matches_naive(pair):
+@given(lattice_pair())
+def test_lattice_mul_matches_naive(pair):
     a, b = pair
     got = build(a) * build(b)
     assert ref(got) == naive_mul(a, b)
     assert_reduced(got)
-
-
-@slow
-@given(lattice_data())
-def test_lattice_square_and_cube_match_naive(a):
-    s = build(a)
-    square = naive_mul(a, a)
-    assert ref(s * s) == square
-    assert ref(s**2) == square
-    assert ref(s**3) == naive_mul(square, a)
-
-
-@slow
-@given(lattice_data(const=True))
-def test_lattice_reciprocal_matches_naive(a):
-    got = build(a).reciprocal()
-    assert ref(got) == naive_reciprocal(a)
-    assert_reduced(got)
-
-
-@slow
-@given(lattice_data(pi_power=st.just(0)))
-def test_lattice_log_unit_matches_naive(a):
-    assume(any(a[0].values()))
-    m, c, log_part = log_unit(build(a))
-    assert (m, c, ref(log_part)) == naive_log_unit(a)
-    assert_reduced(log_part)
 
 
 def test_theta_fourth_powers_match_divisor_sums_at_order_3200():
