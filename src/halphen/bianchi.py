@@ -22,13 +22,12 @@ import math
 from collections import namedtuple
 
 from . import rk
-from .dh import dh_theta_jet, dh_vector_field
+from .dh import dh_vector_field
 from .qseries import (
     ThetaCharacteristics,
-    _theta_jets,
-    _theta_term_count,
     theta_char_dz,
     theta_char_eval,
+    theta_log_jets,
     theta_numeric,  # unused here; bench/tracer.py patches bianchi.theta_numeric
 )
 
@@ -52,6 +51,7 @@ __all__ = [
     "omega_field",
     "omega_theta_flow",
     "flat_family",
+    "flat_family_jet",
     "flat_conformal_factor",
     "tod_hitchin_omega1",
     "constraint_lhs_rhs",
@@ -226,29 +226,27 @@ def coupled_field(state: OmegaAState):
 # -- theta solution families ------------------------------------------------------
 
 
-def _theta_A_sums(t: float):
-    """_theta_jets on the imaginary axis, where the nome exp(-pi t) is real."""
+def _axis_jets(t: float):
+    """theta_log_jets at tau = i t, all floats, for real t > 0."""
     if not t > 0:
         raise ValueError("t must be positive")
-    return _theta_jets(math.exp(-math.pi * t), _theta_term_count(t))
+    return theta_log_jets(complex(0.0, t))
 
 
 def theta_A_solution(t: float) -> tuple:
-    """A_i = 2 d/dt log theta_{i+1}(i t) = -2 pi (D/S + a), real for t > 0
-    (chain rule: d/dt f(i t) = i f'(i t); a = 1/4 for theta2, see
-    _theta_jets)."""
-    (s2, d2, _), (s3, d3, _), (s4, d4, _) = _theta_A_sums(t)
+    """A_i = 2 d/dt log theta_{i+1}(i t) = -2 pi r, real for t > 0 (chain
+    rule: d/dt f(i t) = i f'(i t); r of theta_log_jets)."""
+    _, (r2, r3, r4), _ = _axis_jets(t)
     c = -2 * math.pi
-    return (c * (d2 / s2 + 0.25), c * (d3 / s3), c * (d4 / s4))
+    return (c * r2, c * r3, c * r4)
 
 
 def theta_A_jet(t: float):
-    """(A, dA/dt) from the closed form's jet at tau = i t, both analytic:
-    A_i(t) = i t_i(i t) and dA_i/dt = -t_i'(i t)."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    state, rate = dh_theta_jet(1j * t)
-    return tuple(-s.imag for s in state), tuple(-r.real for r in rate)
+    """(A, dA/dt) from one theta_log_jets, both analytic: A as in
+    theta_A_solution and dA_i/dt = 2 pi**2 v (a second chain-rule factor i)."""
+    _, (r2, r3, r4), (v2, v3, v4) = _axis_jets(t)
+    c, k = -2 * math.pi, 2 * math.pi**2
+    return (c * r2, c * r3, c * r4), (k * v2, k * v3, k * v4)
 
 
 def omega_field(omega, t: float) -> tuple:
@@ -268,28 +266,29 @@ def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
     return rk.Trajectory(sol, 0, 1)
 
 
-def flat_family(t: float, q0: float) -> OmegaAState:
-    """Omega_i = 1/(t + q0) + 2 d/dt log theta_{i+1}(i t): the solution
-    family whose metrics have vanishing cosmological constant."""
+def flat_family_jet(t: float, q0: float):
+    """(state, dOmega/dt) of the flat family at t from one theta_A_jet:
+    Omega_i = 1/(t + q0) + A_i, so dOmega_i/dt = -1/(t + q0)**2 + dA_i/dt."""
     if t + q0 == 0:
         raise ValueError("flat family has a pole at t = -q0")
     u = 1.0 / (t + q0)
-    a = theta_A_solution(t)
-    return OmegaAState(omega=tuple(u + ai for ai in a), a=a)
+    a, da = theta_A_jet(t)
+    return OmegaAState(omega=tuple(u + ai for ai in a), a=a), tuple(-u * u + d for d in da)
 
 
-def flat_conformal_factor(t: float, q0: float, C: float) -> float:
-    o1, o2, o3 = flat_family(t, q0).omega
+def flat_family(t: float, q0: float) -> OmegaAState:
+    """Omega_i = 1/(t + q0) + 2 d/dt log theta_{i+1}(i t): the solution
+    family whose metrics have vanishing cosmological constant."""
+    return flat_family_jet(t, q0)[0]
+
+
+def flat_conformal_factor(omega, t: float, q0: float, C: float) -> float:
+    """F = C (t + q0)**2 O1 O2 O3 at a point omega of the flat family."""
+    o1, o2, o3 = omega.omega if isinstance(omega, OmegaAState) else tuple(omega)
     return C * (t + q0) ** 2 * o1 * o2 * o3
 
 
 # -- the two-parameter family and its constraint ----------------------------------
-
-
-def _thetas_at(t: float):
-    """(theta2, theta3, theta4) at i t, as complex numbers."""
-    (s2, _, _), (s3, _, _), (s4, _, _) = _theta_A_sums(t)
-    return complex(2 * math.exp(-0.25 * math.pi * t) * s2), complex(s3), complex(s4)
 
 
 def tod_hitchin_omega1(params: TodHitchinParams, t: float) -> complex:
@@ -299,9 +298,7 @@ def tod_hitchin_omega1(params: TodHitchinParams, t: float) -> complex:
 
     where th[r, s] is the characteristic theta at (z=0, sigma=it) and D its
     derivative in the second characteristic (equal to the z-derivative)."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    _, th3, th4 = _thetas_at(t)
+    _, th3, th4 = _axis_jets(t)[0]
     num = theta_char_dz(ThetaCharacteristics(params.p, params.q + 0.5, 0.0, 1j * t))
     den = cmath.exp(1j * math.pi * params.p) * theta_char_eval(
         ThetaCharacteristics(params.p, params.q, 0.0, 1j * t)
@@ -317,9 +314,9 @@ def constraint_lhs_rhs(omega, t: float):
         th2^4 O1^2 - th3^4 O2^2 + th4^4 O3^2 = (pi^2/4) th2^4 th3^4 th4^4.
 
     The left side is quadratic in Omega, the right side Omega-free."""
-    o = omega.omega if isinstance(omega, OmegaAState) else tuple(omega)
-    o1, o2, o3 = o
-    th2, th3, th4 = _thetas_at(t)
+    o1, o2, o3 = omega.omega if isinstance(omega, OmegaAState) else tuple(omega)
+    # complex, so th**4 is complex powering, not the float pow of libm
+    th2, th3, th4 = map(complex, _axis_jets(t)[0])
     lhs = th2**4 * o1 * o1 - th3**4 * o2 * o2 + th4**4 * o3 * o3
     rhs = (math.pi**2 / 4) * th2**4 * th3**4 * th4**4
     return lhs, rhs

@@ -314,14 +314,12 @@ def cmd_bianchi_flat_family(args):
     residuals = []
     factors = []
     for t in ts:
-        omega = bianchi.flat_family(t, args.q0).omega
-        omegas.append(omega)
-        # Omega_i = 1/(t + q0) + A_i, so dOmega_i/dt = -1/(t + q0)**2 + dA_i/dt
-        u = 1.0 / (t + args.q0)
-        rate = [-u * u + da for da in bianchi.theta_A_jet(t)[1]]
-        field = bianchi.omega_field(omega, t)
+        # the family's analytic rate against the Omega flow's right-hand side
+        state, rate = bianchi.flat_family_jet(t, args.q0)
+        omegas.append(state.omega)
+        field = bianchi.omega_field(state.omega, t)
         residuals.append(float(max(abs(a - b) for a, b in zip(rate, field))))
-        factors.append(float(bianchi.flat_conformal_factor(t, args.q0, args.C)))
+        factors.append(float(bianchi.flat_conformal_factor(state, t, args.q0, args.C)))
     columns = [("t", ts), ("omega", omegas), ("residual", residuals), ("F", factors)]
     worst = max(residuals)
     results = {"t_grid": ts, "max_residual": worst, "q0": args.q0, "C": args.C}

@@ -19,18 +19,15 @@ with purely rational coefficients.  T_i = (1/2) w d/dw log theta_{i+1}.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import rk
 from .qseries import (
-    PiGradedQSeries,
-    _tau_complex,
-    _theta_jets,
-    _theta_term_count,
-    log_unit,
+    log_derivative,
+    tau_complex,
+    theta_log_jets,
     theta_numeric,  # unused here; bench/tracer.py patches dh.theta_numeric
     theta_series,
 )
@@ -94,8 +91,8 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
     rk.IntegrationBlowUp with the last trusted tau, as does a spent step
     budget, reported as the integration stopping.
     """
-    t0 = _tau_complex(tau0)
-    t1 = _tau_complex(tau1)
+    t0 = tau_complex(tau0)
+    t1 = tau_complex(tau1)
     dtau = t1 - t0
     if dtau == 0:
         raise ValueError("tau0 and tau1 coincide")
@@ -121,22 +118,11 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
 
 
 def dh_theta_jet(tau):
-    """(t, dt/dtau) of the closed form from one pass of the theta kernel,
-    both analytic (a = 1/4 for theta2, see _theta_jets):
-
-        t_i  = 2 theta'/theta = 2 pi i (D/S + a),
-        t_i' = 2 (theta''/theta - (theta'/theta)**2) = -2 pi**2 (F/S - (D/S)**2).
-    """
-    t = _tau_complex(tau)
-    state, rate = [], []
-    jets = _theta_jets(cmath.exp(1j * math.pi * t), _theta_term_count(t.imag))
-    for which, a, (s, d, f) in zip((2, 3, 4), (0.25, 0.0, 0.0), jets):
-        if s == 0:
-            raise ZeroDivisionError("theta_%d vanishes at tau=%r" % (which, t))
-        r = d / s
-        state.append(2j * math.pi * (r + a))
-        rate.append(-2 * math.pi**2 * (f / s - r * r))
-    return DHState(*state), DHState(*rate)
+    """(t, dt/dtau) of the closed form from theta_log_jets, both analytic:
+    t_i = 2 theta'/theta = 2 pi i r and t_i' = 2 (log theta)'' = -2 pi**2 v."""
+    _, (r2, r3, r4), (v2, v3, v4) = theta_log_jets(tau)
+    c, k = 2j * math.pi, -2 * math.pi**2
+    return DHState(c * r2, c * r3, c * r4), DHState(k * v2, k * v3, k * v4)
 
 
 def dh_theta_solution(tau) -> DHState:
@@ -153,14 +139,11 @@ def dh_theta_solution_series(order: int):
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = []
-    for which in (2, 3, 4):
-        # w d/dw log theta = m + w d/dw log u for theta = c w^m u
-        m, _, log_u = log_unit(theta_series(which, order + 1))
-        euler = log_u.x_ddx() + PiGradedQSeries({0: m}, log_u.trunc_order)
-        t = (euler * Fraction(1, 2)).truncate(order)
-        out.append(t.with_pi_power(1))
-    return tuple(out)
+    half = Fraction(1, 2)
+    return tuple(
+        (log_derivative(theta_series(which, order + 1)) * half).truncate(order).with_pi_power(1)
+        for which in (2, 3, 4)
+    )
 
 
 def dh_series_ode_residuals(order: int):

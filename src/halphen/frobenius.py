@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .dh import dh_theta_solution
-from .qseries import _tau_complex, eisenstein_series, eval_series, theta_q
+from .qseries import eisenstein_series, eval_series, tau_complex, theta_q
 
 __all__ = [
     "PotentialJet",
@@ -165,17 +165,16 @@ def chazy_e2_exact(order: int):
     return 2 * g3 - (2 * g * g2 - 3 * g1 * g1)
 
 
-def chazy_gamma_jet(tau, order: int | None = None) -> GammaJet:
+def chazy_gamma_jet(tau) -> GammaJet:
     """Jet of gamma = (pi*i/3) E2 at tau, from term-wise differentiated
     series: the k-th derivative scales the q^n coefficient by (2 pi i n)^k."""
-    t = _tau_complex(tau)
-    if order is None:
-        if 24.0 / t.imag + 8 > MAX_JET_ORDER:
-            raise ValueError(
-                "tau=%r is too close to the real axis: the E2 jet would need "
-                "series order above %d" % (t, MAX_JET_ORDER)
-            )
-        order = max(12, int(24.0 / t.imag) + 8)
+    t = tau_complex(tau)
+    if 24.0 / t.imag + 8 > MAX_JET_ORDER:
+        raise ValueError(
+            "tau=%r is too close to the real axis: the E2 jet would need "
+            "series order above %d" % (t, MAX_JET_ORDER)
+        )
+    order = max(12, int(24.0 / t.imag) + 8)
     scale = 1j * math.pi / 3
     cur = eisenstein_series(2, order)
     jets = []

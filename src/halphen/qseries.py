@@ -59,9 +59,12 @@ __all__ = [
     "theta_series",
     "eisenstein_series",
     "theta_q",
+    "log_derivative",
     "log_unit",
     "eval_series",
     "theta_eval_tail_bound",
+    "tau_complex",
+    "theta_log_jets",
     "theta_numeric",
     "theta_char_eval",
     "theta_char_dz",
@@ -447,10 +450,7 @@ class TauPoint(namedtuple("TauPoint", "value")):
     __slots__ = ()
 
     def __new__(cls, value):
-        value = complex(value)
-        if value.imag <= 0:
-            raise ValueError("tau must have positive imaginary part, got %r" % (value,))
-        return super().__new__(cls, value)
+        return super().__new__(cls, tau_complex(value))
 
 
 class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s z sigma")):
@@ -466,7 +466,8 @@ class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s z sigma")):
         return super().__new__(cls, r, s, z, sigma)
 
 
-def _tau_complex(tau) -> complex:
+def tau_complex(tau) -> complex:
+    """tau (a TauPoint or a number) as a complex in the upper half-plane."""
     t = tau.value if isinstance(tau, TauPoint) else complex(tau)
     if t.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane, got %r" % (t,))
@@ -543,30 +544,34 @@ def theta_q(s: PiGradedQSeries) -> PiGradedQSeries:
     return s.x_ddx()
 
 
-def log_unit(s: PiGradedQSeries):
-    """Factor s = c*x**m * u with u(0) = 1 and return (m, c, log u).
-
-    log u is recovered from its Euler derivative: x d/dx log u = (x u')/u,
-    whose x**n coefficient is n times that of log u.  Requires grading zero
-    (powers of pi*i cannot enter a formal logarithm) and a nonzero series.
-    """
-    if s.pi_power != 0:
-        raise ValueError("log_unit requires a grading-zero series")
+def log_derivative(s: PiGradedQSeries) -> PiGradedQSeries:
+    """x s'/s = m + x u'/u for nonzero s = c*x**m * u, u(0) = 1, to order
+    trunc_order - m; the grading of s cancels, so the result's is zero."""
     m = s.valuation()
     if m is None:
         raise ValueError("cannot take the log of a (truncation-)zero series")
-    c = s.coeff(m)
     # u = s / (c x**m) has numerators num[m:] over the denominator num[m]
     lead = s.num[m]
     tail = s.num[m:]
     unit = PiGradedQSeries._from_ints(tail if lead > 0 else [-x for x in tail], abs(lead), 0)
     euler = unit.x_ddx() * unit.reciprocal()
-    # the x**k coefficient of log u is e_k / k: over the lcm L of the k with
-    # e_k != 0, its numerator is e_k * (L / k)
-    e = euler.num
+    # x u'/u has no constant term; m * den there leaves the form reduced
+    return PiGradedQSeries._from_ints([m * euler.den] + euler.num[1:], euler.den, 0)
+
+
+def log_unit(s: PiGradedQSeries):
+    """Factor s = c*x**m * u with u(0) = 1 and return (m, c, log u): the
+    x**k coefficient of log u is e_k / k, e = log_derivative(s), k >= 1.
+    Requires grading zero (powers of pi*i cannot enter a formal logarithm).
+    """
+    if s.pi_power != 0:
+        raise ValueError("log_unit requires a grading-zero series")
+    euler = log_derivative(s)
+    e, m = euler.num, s.valuation()
+    # over the lcm L of the k with e_k != 0, e_k / k has numerator e_k * (L / k)
     lcm = math.lcm(*(k for k in range(1, len(e)) if e[k]))
     log_num = [0] + [x * (lcm // k) if x else 0 for k, x in enumerate(e[1:], 1)]
-    return m, c, PiGradedQSeries._from_ints(log_num, euler.den * lcm, 0)
+    return m, s.coeff(m), PiGradedQSeries._from_ints(log_num, euler.den * lcm, 0)
 
 
 # -- numeric evaluation ------------------------------------------------------
@@ -578,7 +583,7 @@ def eval_series(s: PiGradedQSeries, tau, var: str = "w") -> complex:
     The truncation tail is not estimated here; see theta_eval_tail_bound
     for the documented geometric bound covering theta expansions.
     """
-    t = _tau_complex(tau)
+    t = tau_complex(tau)
     if var == "w":
         x = cmath.exp(2j * math.pi * t / 8)
     elif var == "q":
@@ -603,7 +608,7 @@ def theta_eval_tail_bound(which: int, order: int, tau) -> float:
     omitted exponent with ratio |w|**(last observed gap); all coefficients
     have magnitude at most 2.
     """
-    t = _tau_complex(tau)
+    t = tau_complex(tau)
     w_abs = math.exp(-2 * math.pi * t.imag / 8)
     if which == 2:
         exps = [(2 * n + 1) ** 2 for n in range(order + 2)]
@@ -624,16 +629,17 @@ def theta_eval_tail_bound(which: int, order: int, tau) -> float:
 # (_theta_jets: 31 ms for 10**5 terms on the imaginary axis, Python 3.11 on
 # a 2-core x86-64 VM); 10**5 terms are reached near Im tau = 1.6e-9.
 MAX_THETA_TERMS = 10**5
+_TAIL_LOG = math.log(1e18) + 10.0  # hoisted: every theta evaluation counts terms
 
 
 def _theta_term_count(im_tau: float) -> int:
     """Last n summed by _theta_jets: terms decay like exp(-pi*Im(tau)*n**2),
-    and the cutoff keeps the dropped tail below 1e-18 relative to the
-    leading term.  Raises ValueError past MAX_THETA_TERMS."""
-    n = math.sqrt((math.log(1e18) + 10.0) / (math.pi * im_tau))
+    and the cutoff (_TAIL_LOG) keeps the dropped tail below 1e-18 relative
+    to the leading term.  Raises ValueError past MAX_THETA_TERMS."""
+    n = math.sqrt(_TAIL_LOG / (math.pi * im_tau))
     if not n <= MAX_THETA_TERMS:
         raise ValueError("Im tau=%g needs over %d theta terms" % (im_tau, MAX_THETA_TERMS))
-    return int(math.ceil(n)) + 3
+    return math.ceil(n) + 3
 
 
 def _theta_jets(x, n_max: int):
@@ -692,38 +698,53 @@ def _theta_jets(x, n_max: int):
     )
 
 
-def theta_numeric(which: int, tau):
-    """Numeric (theta(tau), d theta/d tau) for theta2, theta3 or theta4.
+def theta_log_jets(tau):
+    """(values, r, v) of theta2, theta3, theta4 at tau, three triples: the
+    thetas, theta'/theta = pi*i*r and (log theta)'' = (pi*i)**2 * v.
 
-    One exp gives the nome x = exp(pi*i*tau), and _theta_jets forms every
-    power of it by multiplication (theta2 takes a second exp for its
-    prefactor 2 x**(1/4)).  x**(n*n) is a product of n step factors, the
-    k-th made by k multiplications, so it carries ~n**2/2 roundings, and
-    the relative error of x itself (~pi*Im(tau) ulp, from rounding the
-    exponent) enters it n**2 times.  Both are n**2 ulp relative to a term
-    of size |x|**(n*n), and n**2 |x|**(n*n) is bounded, so the absolute
-    error of theta and theta' stays at a few ulp of their largest term.
+    With _theta_jets' sums, theta = P*S, r = D/S + a, v = F/S - (D/S)**2.
+    On the imaginary axis the nome x = exp(pi*i*tau) is the float
+    exp(-pi*Im(tau)) and all nine results are floats.  A vanishing S raises
+    ZeroDivisionError.  x**(n*n) carries ~n**2/2 roundings and n**2 times
+    the ~pi*Im(tau) ulp of x; as n**2 |x|**(n*n) is bounded, S, D and F
+    err by a few ulp of their largest term.
     """
-    t = _tau_complex(tau)
+    t = tau_complex(tau)
+    n = _theta_term_count(t.imag)
+    if t.real == 0:
+        z, exp = -math.pi * t.imag, math.exp  # pi*i*tau, real on the axis
+    else:
+        z, exp = 1j * math.pi * t, cmath.exp
+    (s2, d2, f2), (s3, d3, f3), (s4, d4, f4) = _theta_jets(exp(z), n)
+    try:
+        r2, r3, r4 = d2 / s2, d3 / s3, d4 / s4
+    except ZeroDivisionError:
+        which = 2 if not s2 else 3 if not s3 else 4
+        raise ZeroDivisionError("theta_%d vanishes at tau=%r" % (which, t)) from None
+    values = (2 * exp(0.25 * z) * s2, s3, s4)
+    return values, (r2 + 0.25, r3, r4), (f2 / s2 - r2 * r2, f3 / s3 - r3 * r3, f4 / s4 - r4 * r4)
+
+
+def theta_numeric(which: int, tau):
+    """Numeric (theta(tau), d theta/d tau) for theta2, theta3 or theta4,
+    from theta_log_jets: theta' = pi*i*r*theta."""
     if which not in (2, 3, 4):
         raise ValueError("theta index must be 2, 3 or 4")
-    x = cmath.exp(1j * math.pi * t)
-    s, d, _ = _theta_jets(x, _theta_term_count(t.imag))[which - 2]
-    if which == 2:
-        scale = 2 * cmath.exp(0.25j * math.pi * t)
-        return scale * s, 1j * math.pi * scale * (d + 0.25 * s)
-    return complex(s), 1j * math.pi * d
+    values, r, _ = theta_log_jets(tau)
+    value = values[which - 2]
+    return value, 1j * math.pi * r[which - 2] * value
 
 
-def _theta_char_sum(ch: ThetaCharacteristics, weighted: bool, tol: float) -> complex:
+def _theta_char_sum(ch: ThetaCharacteristics, weighted: bool) -> complex:
     """Symmetric sum of the characteristic theta terms.
 
     log|term(m)| is an inverted parabola in u = m + Re(r) with curvature
     pi*Im(sigma); summing to sqrt(log(1/tol)/curvature) past the peak keeps
-    the dropped tail below tol relative to the largest term.  Complex
+    the dropped tail below tol = 1e-15 relative to the largest term.  Complex
     characteristics only shift the peak and are covered by the same bound.
     Raises ValueError past MAX_THETA_TERMS.
     """
+    tol = 1e-15
     curvature = math.pi * ch.sigma.imag
     b = ch.r.imag
     zs = ch.z + ch.s
@@ -744,15 +765,15 @@ def _theta_char_sum(ch: ThetaCharacteristics, weighted: bool, tol: float) -> com
     return total
 
 
-def theta_char_eval(ch: ThetaCharacteristics, tol: float = 1e-15) -> complex:
+def theta_char_eval(ch: ThetaCharacteristics) -> complex:
     """Numeric value of the two-characteristic theta sum."""
-    return _theta_char_sum(ch, weighted=False, tol=tol)
+    return _theta_char_sum(ch, weighted=False)
 
 
-def theta_char_dz(ch: ThetaCharacteristics, tol: float = 1e-15) -> complex:
+def theta_char_dz(ch: ThetaCharacteristics) -> complex:
     """d/dz of the theta sum: each term picks up 2*pi*i*(m+r).
 
     z and the second characteristic s enter only through z + s, so this is
     also the derivative with respect to s.
     """
-    return _theta_char_sum(ch, weighted=True, tol=tol)
+    return _theta_char_sum(ch, weighted=True)

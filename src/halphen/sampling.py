@@ -8,17 +8,18 @@ from fractions import Fraction
 __all__ = ["random_fraction", "random_state", "random_distinct_state"]
 
 
-def random_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+def random_fraction(rng: random.Random) -> Fraction:
+    """p/q with p in [-9, 9] and q in [1, 9]."""
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def random_state(rng: random.Random, n: int = 3, max_num: int = 9, max_den: int = 9):
-    return tuple(random_fraction(rng, max_num, max_den) for _ in range(n))
+def random_state(rng: random.Random):
+    return (random_fraction(rng), random_fraction(rng), random_fraction(rng))
 
 
-def random_distinct_state(rng: random.Random, n: int = 3, max_num: int = 9, max_den: int = 9):
-    """A rational n-tuple with pairwise distinct entries."""
+def random_distinct_state(rng: random.Random):
+    """A random_state with pairwise distinct entries."""
     while True:
-        s = random_state(rng, n, max_num, max_den)
-        if len(set(s)) == n:
+        s = random_state(rng)
+        if len(set(s)) == 3:
             return s

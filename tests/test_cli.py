@@ -250,6 +250,16 @@ def test_bianchi_flat_family_csv_and_gate(capsys):
     assert max(float(line.split(",")[7]) for line in lines[1:]) < 1e-12
 
 
+def test_bianchi_flat_family_runs_the_theta_kernel_twice_per_point(capsys, monkeypatch):
+    # once for the family and its rate, once in the Omega flow's field
+    kernel = qseries._theta_jets
+    calls = []
+    monkeypatch.setattr(qseries, "_theta_jets", lambda *a: calls.append(a) or kernel(*a))
+    code, _ = run(capsys, "bianchi", "flat-family", "--q0", "0.3", "--steps", "5")
+    assert code == EXIT_OK
+    assert len(calls) == 2 * 5
+
+
 def test_bianchi_verify_constraint_flat_family(capsys):
     code, report = run_json(capsys, "bianchi", "verify-constraint", "--t", "1.0", "--q0", "0.3")
     assert code == EXIT_OK

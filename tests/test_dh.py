@@ -16,7 +16,7 @@ from halphen.dh import (
     dh_theta_solution_series,
     dh_vector_field,
 )
-from halphen.qseries import eisenstein_series, eval_series
+from halphen.qseries import PiGradedQSeries, eisenstein_series, eval_series, log_unit, theta_series
 from halphen import rk
 from halphen.rk import IntegrationBlowUp
 from halphen.sampling import random_state
@@ -122,6 +122,20 @@ def test_theta_solution_series_sum_is_half_e2():
     total = (s1 + s2 + s3).with_pi_power(0)
     half_e2 = eisenstein_series(2, 10).dilate(8) * Fraction(1, 2)
     assert total == half_e2
+
+
+def test_theta_solution_series_matches_the_log_unit_route():
+    # T_i = (1/2) w d/dw log theta_{i+1} rebuilt through the formal log:
+    # w d/dw of log u, plus the valuation m of theta = c w^m u
+    def log_route(order):
+        for which in (2, 3, 4):
+            m, _, log_u = log_unit(theta_series(which, order + 1))
+            euler = log_u.x_ddx() + PiGradedQSeries({0: m}, log_u.trunc_order)
+            yield (euler * Fraction(1, 2)).truncate(order).with_pi_power(1)
+
+    for order in itertools.chain(range(201), [3200]):
+        for got, want in zip(dh_theta_solution_series(order), log_route(order), strict=True):
+            assert (got.num, got.den, got.pi_power) == (want.num, want.den, want.pi_power)
 
 
 def test_theta_solution_series_evaluates_to_closed_form():

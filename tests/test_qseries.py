@@ -12,6 +12,7 @@ from halphen.qseries import (
     ThetaCharacteristics,
     eisenstein_series,
     eval_series,
+    log_derivative,
     log_unit,
     sigma,
     theta_char_dz,
@@ -112,14 +113,25 @@ def naive_reciprocal(a):
     return {m: c for m, c in enumerate(b) if c}, n, -p
 
 
-def naive_log_unit(a):
-    """(m, c, log u) for a = c x^m u by the Euler derivative x u'/u."""
+def naive_log_derivative(a):
+    """x a'/a = m + x u'/u for a = c x^m u, of grading zero whatever a's."""
     d, n, _ = a
     m = min(k for k, c in d.items() if c)
     c = Fraction(d[m])
     unit = ({k - m: Fraction(v) / c for k, v in d.items() if v}, n - m, 0)
     euler = naive_mul(({k: k * v for k, v in unit[0].items()}, n - m, 0), naive_reciprocal(unit))
-    return m, c, ({k: v / k for k, v in euler[0].items() if k}, n - m, 0)
+    out = dict(euler[0])
+    if m:
+        out[0] = Fraction(m)
+    return out, n - m, 0
+
+
+def naive_log_unit(a):
+    """(m, c, log u) for a = c x^m u, log u by dividing x u'/u termwise."""
+    d = a[0]
+    m = min(k for k, c in d.items() if c)
+    euler, order, _ = naive_log_derivative(a)
+    return m, Fraction(d[m]), ({k: v / k for k, v in euler.items() if k}, order, 0)
 
 
 # -- generators ---------------------------------------------------------------
@@ -296,6 +308,8 @@ def test_log_unit_against_formal_log_oracle():
 
 
 def test_log_unit_errors():
+    with pytest.raises(ValueError):
+        log_derivative(PiGradedQSeries.zero(5))
     with pytest.raises(ValueError):
         log_unit(PiGradedQSeries.zero(5))
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_qseries import (  # noqa: E402
     naive_add,
+    naive_log_derivative,
     naive_log_unit,
     naive_mul,
     naive_reciprocal,
@@ -25,6 +26,7 @@ from test_qseries import (  # noqa: E402
 from halphen.qseries import (  # noqa: E402
     PiGradedQSeries,
     eval_series,
+    log_derivative,
     log_unit,
     theta_series,
 )
@@ -148,6 +150,15 @@ def test_log_unit_matches_naive(a):
     want_m, want_c, want_log = naive_log_unit(a)
     assert (m, c, ref(log_part)) == (want_m, want_c, want_log)
     assert_reduced(log_part)
+
+
+@slow
+@given(st.one_of(series_data(order=st.integers(1, 25)), lattice_data()))
+def test_log_derivative_matches_naive(a):
+    assume(any(a[0].values()))
+    got = log_derivative(build(a))
+    assert ref(got) == naive_log_derivative(a)
+    assert_reduced(got)
 
 
 @slow

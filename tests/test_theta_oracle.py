@@ -23,7 +23,7 @@ import pytest
 pytest.importorskip("hypothesis")
 mpmath = pytest.importorskip("mpmath")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from halphen import bianchi, dh, qseries  # noqa: E402
@@ -52,6 +52,20 @@ def oracle_log_jet(k, tau):
     with mpmath.workdps(40):
         r = d1 / th
         return 2 * r, 2 * (d2 / th - r * r)
+
+
+def oracle_addends(k, tau):
+    """(|D/S| + a, |F/S| + |D/S|**2): the sizes of the terms the kernel adds
+    into t/(2 pi i) = D/S + a and -t'/(2 pi**2) = F/S - (D/S)**2 (a = 1/4
+    for theta2, 0 otherwise), from theta'/theta = pi*i*(D/S + a) and
+    theta''/theta = (pi*i)**2 * (F/S + 2a D/S + a**2)."""
+    a = 0.25 if k == 2 else 0
+    th, d1, d2 = oracle(k, tau)
+    with mpmath.workdps(40):
+        c = 1j * mpmath.pi
+        ds = d1 / (c * th) - a
+        fs = d2 / (c * c * th) - 2 * a * ds - a * a
+        return float(abs(ds) + a), float(abs(fs) + abs(ds) ** 2)
 
 
 def term_scales(k, tau):
@@ -98,27 +112,33 @@ def test_theta_and_its_derivatives_match_oracle(tau):
 
 @settings(max_examples=150, deadline=None)
 @given(taus)
+@example(complex(0.5, 0.359375))  # t1 = 0.054i from addends of 1.52 and pi/2
+@example(complex(0.3125, 0.3203125))  # t2' = 0.27 from addends summing to 5.9
 def test_closed_form_and_its_jet_match_oracle(tau):
-    # the nome carries ~pi*Im(tau) ulp from rounding its exponent
+    # the nome carries ~pi*Im(tau) ulp from rounding its exponent; t and t'
+    # err relative to the terms the kernel adds, not to their sums, which
+    # cancel in places
     bound = 8 * EPS * (1 + math.pi * tau.imag)
     t, rate = dh.dh_theta_jet(tau)
     assert t == dh.dh_theta_solution(tau)
     for k, got_t, got_rate in zip((2, 3, 4), t, rate):
         want_t, want_rate = oracle_log_jet(k, tau)
-        assert err(got_t, want_t) <= bound * abs(want_t), k
-        assert err(got_rate, want_rate) <= 2 * bound * abs(want_rate), k
+        size_t, size_rate = oracle_addends(k, tau)
+        assert err(got_t, want_t) <= bound * 2 * math.pi * size_t, k
+        assert err(got_rate, want_rate) <= 2 * bound * 2 * math.pi**2 * size_rate, k
 
 
 @settings(max_examples=100, deadline=None)
 @given(times)
 def test_float_and_complex_paths_agree_on_the_imaginary_axis(t):
-    # A_i(t) = 2 d/dt log theta(i t) = Re(2i theta'/theta) at tau = i t;
-    # theta_A_solution sums at the real nome exp(-pi t), theta_numeric and
-    # theta_A_jet at the complex one
+    # A_i(t) = 2 d/dt log theta(i t) = -2 pi Re(D/S + a) at tau = i t;
+    # theta_log_jets sums at the real nome exp(-pi t), here _theta_jets
+    # sums at the same nome as a complex number
     a = bianchi.theta_A_solution(t)
     a_jet, da = bianchi.theta_A_jet(t)
-    for k, ai, aj, dai in zip((2, 3, 4), a, a_jet, da):
-        assert type(ai) is float and type(aj) is float and type(dai) is float
-        value, deriv = qseries.theta_numeric(k, 1j * t)
-        assert abs(ai - (2j * deriv / value).real) <= 8 * EPS * abs(ai), k
-        assert abs(ai - aj) <= 8 * EPS * abs(ai), k
+    assert a == a_jet
+    x = math.exp(-math.pi * t)
+    jets = qseries._theta_jets(complex(x), qseries._theta_term_count(t))
+    for k, ai, dai, (s, d, _), offset in zip((2, 3, 4), a, da, jets, (0.25, 0, 0)):
+        assert type(ai) is float and type(dai) is float
+        assert abs(ai - (-2 * math.pi * (d / s + offset)).real) <= 8 * EPS * abs(ai), k
