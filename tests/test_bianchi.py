@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from halphen import bianchi
 from halphen.bianchi import (
     ANTI_SELF_DUAL,
     SELF_DUAL,
@@ -280,6 +282,32 @@ def test_omega_flow_residual_along_dense_output():
         fd = [(u - d) / (2 * h) for u, d in zip(traj.at(tm + h), traj.at(tm - h))]
         field = omega_field(traj.at(tm), tm)
         assert max(abs(a - b) for a, b in zip(fd, field)) < 10 * tol
+
+
+@pytest.mark.parametrize(
+    "initial, t0, t1, tol, max_step",
+    [
+        ((1, 0.5, 0.25), 0.7, 2.0, 1e-9, math.inf),  # the README's bianchi flow
+        (flat_family(0.8, 0.5).omega, 0.8, 1.6, 1e-10, 0.01),
+    ],
+)
+def test_omega_flow_computes_A_once_per_distinct_stage_time(initial, t0, t1, tol, max_step):
+    # the reference calls omega_field at every stage: 2 + 6 per attempted
+    # step; the flow shares A between the last two stages, both at t + h
+    stage_times = []
+
+    def every_stage(t, y):
+        stage_times.append(t)
+        return omega_field(y, t)
+
+    ref = integrate(every_stage, t0, t1, initial, rtol=tol, atol=tol, max_step=max_step)
+    attempted, rest = divmod(len(stage_times) - 2, 6)
+    assert rest == 0 and attempted >= len(ref.ts) - 1 > 20
+    with mock.patch.object(bianchi, "theta_A_solution", wraps=theta_A_solution) as spy:
+        traj = omega_theta_flow(initial, t0, t1, tol=tol, max_step=max_step)
+    assert spy.call_count == 2 + 5 * attempted
+    assert traj.ts == ref.ts
+    assert traj.states == [tuple(y) for y in ref.ys]
 
 
 def test_omega_flow_validates_arguments():

@@ -83,8 +83,10 @@ def test_theta_jet_satisfies_ode(tau):
 
 
 def test_theta_solution_at_the_cusp():
-    # theta2 underflows at Im tau = 1000, its log-derivative does not
+    # theta2 underflows at Im tau = 1000, its log-derivative does not; tau
+    # validation lets the cusp itself through
     assert dh_theta_solution(1000j) == (0.5j * math.pi, 0, 0)
+    assert dh_theta_solution(complex(0, math.inf)) == (0.5j * math.pi, 0, 0)
 
 
 def test_theta_solution_sum_is_e2():

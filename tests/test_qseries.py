@@ -2,10 +2,12 @@ import cmath
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from halphen.dh import dh_integrate, dh_theta_solution
 from halphen.qseries import (
     PiGradedQSeries,
     TauPoint,
@@ -15,9 +17,11 @@ from halphen.qseries import (
     log_derivative,
     log_unit,
     sigma,
+    tau_complex,
     theta_char_dz,
     theta_char_eval,
     theta_eval_tail_bound,
+    theta_log_jets,
     theta_numeric,
     theta_q,
     theta_series,
@@ -428,3 +432,18 @@ def test_characteristics_require_upper_half_plane():
 def test_tau_point_validation():
     with pytest.raises(ValueError):
         TauPoint(1.0 - 2j)
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [complex(math.nan, 1), complex(0, math.nan), complex(math.inf, 1), complex(-math.inf, 1),
+     complex(math.nan, math.inf), complex(math.inf, math.inf)],
+)
+def test_non_finite_tau_is_refused(tau):
+    calls = [tau_complex, TauPoint, theta_log_jets, dh_theta_solution,
+             lambda t: theta_numeric(3, t), lambda t: eval_series(theta_series(3, 10), t),
+             lambda t: dh_integrate((1, 1, 1), t, 1j, 1e-8),
+             lambda t: dh_integrate((1, 1, 1), 1j, t, 1e-8)]
+    for call in calls:
+        with pytest.raises(ValueError, match="half-plane, got " + re.escape(repr(tau))):
+            call(tau)

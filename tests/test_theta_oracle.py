@@ -12,6 +12,9 @@ enters the oracle:
 Re tau stays in [-1/2, 1/2], where the principal q**(1/4) that mpmath takes
 for theta2 is exp(pi*i*tau/4), and Im tau in [0.3, 3], where 40 digits
 leave no cancellation in the oracle's own sums.
+
+The kernel's sums are also checked bit for bit against parity_theta_jets,
+the kernel's earlier form with one n a pass, and against two more terms.
 """
 
 import cmath
@@ -142,3 +145,70 @@ def test_float_and_complex_paths_agree_on_the_imaginary_axis(t):
     for k, ai, dai, (s, d, _), offset in zip((2, 3, 4), a, da, jets, (0.25, 0, 0)):
         assert type(ai) is float and type(dai) is float
         assert abs(ai - (-2 * math.pi * (d / s + offset)).real) <= 8 * EPS * abs(ai), k
+
+
+def parity_theta_jets(x, n_max):
+    """qseries._theta_jets as it was before its loop took n in pairs: one n
+    a pass, the theta3/theta4 terms split by the parity of n."""
+    x2 = x * x
+    s2, d2, f2 = 1.0, 0.0, 0.0
+    so = do = fo = se = de = fe = 0.0
+    p, dp = x, x * x2
+    r, dr = x2, x2 * x2
+    for n in range(1, n_max + 1):
+        e = n * n
+        t = e * p
+        if n & 1:
+            so += p
+            do += t
+            fo += e * t
+        else:
+            se += p
+            de += t
+            fe += e * t
+        p *= dp
+        dp *= x2
+        e += n
+        t = e * r
+        s2 += r
+        d2 += t
+        f2 += e * t
+        r *= dr
+        dr *= x2
+    return (
+        (s2, d2, f2),
+        (1.0 + 2 * (se + so), 2 * (de + do), 2 * (fe + fo)),
+        (1.0 + 2 * (se - so), 2 * (de - do), 2 * (fe - fo)),
+    )
+
+
+def nome(tau):
+    """exp(pi*i*tau) as theta_log_jets forms it: a float on the axis."""
+    if tau.real == 0:
+        return math.exp(-math.pi * tau.imag)
+    return cmath.exp(1j * math.pi * tau)
+
+
+wide_taus = st.builds(complex, st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), st.floats(0.01, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(wide_taus.map(nome), wide_taus.map(lambda tau: complex(nome(tau)))),
+       st.integers(1, 40))
+@example(0.5, 1)
+@example(0.5, 2)
+@example(0.3 + 0.4j, 39)
+@example(0.3 + 0.4j, 40)
+def test_kernel_matches_its_parity_branch_form(x, n_max):
+    # repr tells -0.0 from 0.0, so the sums must agree bit for bit
+    assert repr(qseries._theta_jets(x, n_max)) == repr(parity_theta_jets(x, n_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(complex, st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), st.floats(0.1, 100.0)))
+def test_two_more_terms_change_no_sum(tau):
+    # the terms past _theta_term_count lie below 1e-18 of each sum's largest
+    # term (its docstring), far below the last bit
+    x = nome(tau)
+    n = qseries._theta_term_count(tau.imag)
+    assert qseries._theta_jets(x, n) == qseries._theta_jets(x, n + 2)
