@@ -262,12 +262,13 @@ def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
     f is omega_field's arithmetic, but keeps the last (t, A): the last two
     Dormand-Prince stages share the time t + h, so A is computed once per
     distinct stage time, 2 + 5 per attempted step instead of 2 + 6."""
-    last = [None, None]
+    t_last = a_last = None
 
     def f(t, y):
-        if t != last[0]:
-            last[:] = t, theta_A_solution(t)
-        return _omega_rate(y, last[1])
+        nonlocal t_last, a_last
+        if t != t_last:
+            t_last, a_last = t, theta_A_solution(t)
+        return _omega_rate(y, a_last)
 
     sol = rk.integrate(f, t0, t1, initial_omega, rtol=tol, atol=tol, max_step=max_step)
     return rk.Trajectory(sol, 0, 1)
