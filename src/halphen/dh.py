@@ -110,6 +110,8 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
             "Darboux-Halphen %s near tau=%r: %s" % (what, t0 + exc.t_reached * dtau, exc),
             exc.t_reached,
             exc.y_reached,
+            exc.rhs_evals,
+            exc.steps_rejected,
         ) from exc
     return rk.Trajectory(sol, t0, dtau)
 

@@ -54,7 +54,6 @@ from itertools import compress
 
 __all__ = [
     "PiGradedQSeries",
-    "TauPoint",
     "ThetaCharacteristics",
     "theta_series",
     "eisenstein_series",
@@ -444,15 +443,6 @@ class PiGradedQSeries:
 # -- points and characteristics -----------------------------------------------
 
 
-class TauPoint(namedtuple("TauPoint", "value")):
-    """A modular parameter in the upper half-plane."""
-
-    __slots__ = ()
-
-    def __new__(cls, value):
-        return super().__new__(cls, tau_complex(value))
-
-
 class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s z sigma")):
     """Arguments of the two-characteristic theta sum
     sum_m exp(pi*i*(m+r)**2*sigma + 2*pi*i*(m+r)*(z+s))."""
@@ -467,10 +457,9 @@ class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s z sigma")):
 
 
 def tau_complex(tau) -> complex:
-    """tau (a TauPoint or a number) as a complex in the upper half-plane;
-    Im tau = +inf, the cusp, passes, while a nan part or an infinite Re tau
-    is refused."""
-    t = tau.value if isinstance(tau, TauPoint) else complex(tau)
+    """tau as a complex in the upper half-plane; Im tau = +inf, the cusp,
+    passes, while a nan part or an infinite Re tau is refused."""
+    t = complex(tau)
     if not (t.imag > 0 and math.isfinite(t.real)):
         raise ValueError("tau must lie in the upper half-plane, got %r" % (t,))
     return t

@@ -1,18 +1,21 @@
 """Adaptive embedded Runge-Kutta integration for complex-valued systems.
 
-Dormand-Prince 5(4) pair with FSAL, PI step-size control and a fourth-order
-continuous extension for dense output (Dormand & Prince, J. Comput. Appl.
-Math. 6 (1980) 19-26; Hairer, Norsett & Wanner, Solving ODEs I, II.6).  The
-state vector may be complex; the independent variable is real (callers
-integrating along a complex segment parameterise it by arc fraction).
-Blow-up - a non-finite state or a step size driven below machine resolution
-- raises IntegrationBlowUp instead of silently clipping, and so does a spent
-step budget (MAX_STEPS), which is stiffness or a long span, not a blow-up.
+Dormand-Prince 8(5,3), the eighth-order pair of Prince & Dormand as DOP853:
+FSAL, Hairer's combined fifth/third-order error estimate, PI step-size
+control and a seventh-order continuous extension for dense output (Prince &
+Dormand, J. Comput. Appl. Math. 7 (1981) 67-75; Hairer, Norsett & Wanner,
+Solving ODEs I, II.10).  The state vector may be complex; the independent
+variable is real (callers integrating along a complex segment parameterise
+it by arc fraction).  Blow-up - a non-finite state or a step size driven
+below machine resolution - raises IntegrationBlowUp instead of silently
+clipping, and so does a spent step budget (MAX_STEPS), which is stiffness or
+a long span, not a blow-up.
 
 Pure Python: states are lists of complex, and f(t, y) receives such a list
-and may return any sequence of numbers.  The stages are unrolled, each
-component summed left to right in tableau order.  f is called twice at the
-start and six times per attempted step.
+and may return any sequence of numbers.  Each stage sums its sparse tableau
+row component by component in stage order.  f is called twice at the start
+and twelve times per attempted step; dense output calls it three more times
+for each step it lands in, once.
 """
 
 from __future__ import annotations
@@ -23,48 +26,143 @@ import math
 import sys
 from collections import namedtuple
 from itertools import chain
+from operator import itemgetter, mul
 
 __all__ = ["IntegrationBlowUp", "RkSolution", "Trajectory", "integrate"]
 
-# Dormand-Prince 5(4) tableau.
-C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-A = (
-    (0, 0, 0, 0, 0, 0),
-    (1 / 5, 0, 0, 0, 0, 0),
-    (3 / 40, 9 / 40, 0, 0, 0, 0),
-    (44 / 45, -56 / 15, 32 / 9, 0, 0, 0),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0),
+# Dormand-Prince 8(5,3) tableau in DOP853's stage numbering.  Stages 0-11
+# make a step; stage 12 is f at the new point, where row 12 of A (the
+# weights B) puts it, and FSAL makes it the next step's stage 0; stages
+# 13-15 serve dense output only.  Rows are sparse, {stage: coefficient}.
+C = (
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+    1.0,
+    0.1,
+    0.2,
+    0.777777777777777777777777777778,
 )
-B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-# Difference between the 5th- and embedded 4th-order weights.
-E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Continuous-extension coefficients; row sums reproduce B (checked in tests).
-P = (
-    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0, 0, 0, 0),
-    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+A = (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+)
+B = A[12]
+# Eighth-order weights minus the embedded fifth-order ones (E5) and minus
+# the third-order ones (E3, the BHH weights of DOP853).
+E5 = {
+    0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1,
+}
+_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1}
+E3 = {j: b - _BHH.get(j, 0.0) for j, b in B.items()}
+# Dense output: stage weights of the last four of the continuous
+# extension's seven terms (the first three follow from y_old, y_new and the
+# derivatives there; see RkSolution.at).
+D = (
+    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
 )
 
-# Unrolled coefficients; the zero entries of B and E (stage 2) are skipped.
-_C2, _C3, _C4, _C5 = C[1:5]
-_A21 = A[1][0]
-_A31, _A32 = A[2][:2]
-_A41, _A42, _A43 = A[3][:3]
-_A51, _A52, _A53, _A54 = A[4][:4]
-_A61, _A62, _A63, _A64, _A65 = A[5][:5]
-_B1, _, _B3, _B4, _B5, _B6, _ = B
-_E1, _, _E3, _E4, _E5, _E6, _E7 = E
+
+def _row(coeffs: dict):
+    """A sparse row as (get, coefficients), the form the loops read: get(k)
+    is the tuple of the row's stage derivatives.  An itemgetter builds that
+    tuple at its size; zip(*map(...)) would build it by shrinking a longer
+    one, and the shrunk tuples pile up on CPython's per-size free lists
+    (~1 MB of peak memory)."""
+    stages = tuple(coeffs)
+    get = itemgetter(*stages) if len(stages) > 1 else (lambda k, j=stages[0]: (k[j],))
+    return get, tuple(coeffs.values())
+
+
+_STEP_STAGES = [(C[i], _row(A[i])) for i in range(1, 12)]
+_DENSE_STAGES = [(C[i], _row(A[i])) for i in range(13, 16)]
+_B, _E5, _E3 = _row(B), _row(E5), _row(E3)
+_D = [_row(d) for d in D]
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 BETA = 0.04  # PI stabilisation
-EXPONENT = 0.2 - 0.75 * BETA
+EXPONENT = 1 / 8 - 0.2 * BETA
 MAX_STEPS = 200_000
 
 
@@ -72,30 +170,70 @@ class IntegrationBlowUp(RuntimeError):
     """Raised when the solution leaves the resolvable regime.
 
     Attributes carry the last trusted point so callers can report how far
-    the integration got.
+    the integration got, and what it cost: calls of f and rejected steps.
     """
 
-    def __init__(self, message: str, t_reached: float, y_reached):
+    def __init__(self, message: str, t_reached: float, y_reached, rhs_evals: int,
+                 steps_rejected: int):
         super().__init__(message)
         self.t_reached = t_reached
         self.y_reached = y_reached
+        self.rhs_evals = rhs_evals
+        self.steps_rejected = steps_rejected
 
 
-# One accepted step; k holds the seven stage derivatives.
+# One accepted step; k holds the derivatives of stages 0-12.
 _Step = namedtuple("_Step", "t_old h y_old k")
 
 
+def _sums(row, k) -> list:
+    """sum_j a_j k_j per component for a sparse row, summed in stage order."""
+    get, coeffs = row
+    return [sum(map(mul, coeffs, ks)) for ks in zip(*get(k))]
+
+
+def _advance(y, h, row, k) -> list:
+    """y + h * sum_j a_j k_j, a stage's input, with the sums of _sums."""
+    get, coeffs = row
+    return [v + h * sum(map(mul, coeffs, ks)) for v, ks in zip(y, zip(*get(k)))]
+
+
 class RkSolution:
-    """Accepted mesh (ts, ys), per-step max-abs local error estimates and the
-    continuous extension for evaluation between mesh points."""
+    """Accepted mesh (ts, ys), per-step local error estimates and the
+    continuous extension for evaluation between mesh points.
 
-    __slots__ = ("ts", "ys", "err_ests", "steps")
+    rhs_evals counts the calls of f, dense output's included, and
+    steps_rejected the attempted steps the controller refused; the accepted
+    ones are the steps."""
 
-    def __init__(self, ts, ys, err_ests, steps):
+    __slots__ = ("ts", "ys", "err_ests", "steps", "f", "rhs_evals", "steps_rejected", "_dense")
+
+    def __init__(self, ts, ys, err_ests, steps, f, rhs_evals, steps_rejected):
         self.ts = ts
         self.ys = ys
         self.err_ests = err_ests
         self.steps = steps
+        self.f = f
+        self.rhs_evals = rhs_evals
+        self.steps_rejected = steps_rejected
+        self._dense = {}  # step index -> the seven terms of its extension
+
+    def _extension(self, idx: int) -> list:
+        """Terms F0..F6 of step idx's continuous extension, from its three
+        dense-output stages."""
+        t_old, h, y_old, k = self.steps[idx]
+        k = list(k)
+        for c, row in _DENSE_STAGES:
+            k.append(self.f(t_old + c * h, _advance(y_old, h, row, k)))
+        self.rhs_evals += len(_DENSE_STAGES)
+        dy = [b - a for a, b in zip(y_old, self.ys[idx + 1])]
+        f_old, f_new = k[0], k[12]
+        return [
+            dy,
+            [h * p - d for p, d in zip(f_old, dy)],
+            [2 * d - h * (q + p) for d, p, q in zip(dy, f_old, f_new)],
+            *([h * s for s in _sums(row, k)] for row in _D),
+        ]
 
     def at(self, t: float) -> list:
         """Dense-output state at t inside the integrated interval."""
@@ -106,17 +244,16 @@ class RkSolution:
             return list(self.ys[0])
         idx = bisect.bisect_right(self.ts, t) - 1
         idx = min(max(idx, 0), len(self.steps) - 1)
+        terms = self._dense.get(idx)
+        if terms is None:
+            terms = self._dense[idx] = self._extension(idx)
         step = self.steps[idx]
-        theta = (t - step.t_old) / step.h
-        th2, th3, th4 = theta**2, theta**3, theta**4
-        # stage weights of the continuous extension; row 2 of P is zero
-        w1, _, w3, w4, w5, w6, w7 = (
-            p1 * theta + p2 * th2 + p3 * th3 + p4 * th4 for p1, p2, p3, p4 in P
-        )
-        k1, _, k3, k4, k5, k6, k7 = step.k
-        h = step.h
-        return [v + h * (w1 * p1 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7)
-                for v, p1, p3, p4, p5, p6, p7 in zip(step.y_old, k1, k3, k4, k5, k6, k7)]
+        x = (t - step.t_old) / step.h
+        x1 = 1 - x
+        # y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))), so that
+        # x = 0 gives y_old and x = 1 gives y_old + F0 = y_new
+        return [v + x * (a0 + x1 * (a1 + x * (a2 + x1 * (a3 + x * (a4 + x1 * (a5 + x * a6))))))
+                for v, a0, a1, a2, a3, a4, a5, a6 in zip(step.y_old, *terms)]
 
 
 class Trajectory:
@@ -157,16 +294,36 @@ def _weights(y, y_new, rtol, atol) -> list:
     return [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
 
 
-def _rms_scaled(e, scale) -> float:
-    """Root mean square of e/scale, summed in component order.  Each e is
-    multiplied by 1/scale rather than divided, as numpy's complex division
-    rounds: real and imaginary-axis flows then step exactly as the earlier
-    numpy implementation did."""
+def _sum_scaled_squares(e, scale) -> float:
+    """Sum of |e/scale|**2, in component order.  Each e is multiplied by
+    1/scale rather than divided, as numpy's complex division rounds: real
+    and imaginary-axis flows then step exactly as the numpy reference
+    implementation in the tests does."""
     total = 0.0
     for a, s in zip(e, scale):
         r = abs(a * (1.0 / s))
         total += r * r
-    return math.sqrt(total / len(scale))
+    return total
+
+
+def _rms_scaled(e, scale) -> float:
+    """Root mean square of e/scale."""
+    return math.sqrt(_sum_scaled_squares(e, scale) / len(scale))
+
+
+def _error_norm(e5, e3, h, scale):
+    """(err, err_est) of one step.  err is Hairer's combined estimate
+    |h| n5 / sqrt(n (n5 + 0.01 n3)), nX the sum of |eX/scale|**2: the RMS
+    of the vector rho h e5 over the weights, rho = sqrt(n5 / (n5 + 0.01 n3)).
+    err_est is the plain RMS of that vector, at most err * max(scale)."""
+    n5 = _sum_scaled_squares(e5, scale)
+    n3 = _sum_scaled_squares(e3, scale)
+    if n5 == 0.0:
+        return 0.0, 0.0
+    denom = n5 + 0.01 * n3
+    err = abs(h) * n5 / math.sqrt(len(scale) * denom)
+    raw = math.sqrt(sum(abs(a) ** 2 for a in e5) / len(e5))
+    return err, abs(h) * math.sqrt(n5 / denom) * raw
 
 
 def _finite(values) -> bool:
@@ -184,7 +341,7 @@ def _initial_step(f, t0, y0, f0, t_span, rtol, atol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * t_span, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, t_span)
 
 
@@ -193,11 +350,12 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     """Integrate dy/dt = f(t, y) from t0 to t1 (t1 > t0), complex y allowed.
 
     f receives the state as a list of complex and may return any sequence
-    of numbers of the same length.  A step is accepted when the weighted RMS
-    of the embedded error estimate is at most 1 with weights atol +
-    rtol*|y|.  err_ests records the max-abs component of the raw estimate
-    for each accepted step.  ts and err_ests hold floats and ys lists of
-    complex, so callers need not convert them.
+    of numbers of the same length.  A step is accepted when the combined
+    error norm (see _error_norm) is at most 1 with weights atol +
+    rtol*max(|y|, |y_new|).  err_ests records, for each accepted step, the
+    root mean square of the error vector that norm accepted, so each is at
+    most atol + rtol*max|y| over the step's two ends.  ts and err_ests hold
+    floats and ys lists of complex, so callers need not convert them.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -208,7 +366,7 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     span = t1 - t0
     f_cur = f(t, y)
     if not _finite(f_cur):
-        raise IntegrationBlowUp("non-finite derivative at the initial point", t, y)
+        raise IntegrationBlowUp("non-finite derivative at the initial point", t, y, 1, 0)
     h = min(_initial_step(f, t, y, f_cur, span, rtol, atol), max_step)
     h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
 
@@ -218,6 +376,11 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     steps: list[_Step] = []
     err_prev = 1e-4
     rejected = False
+    attempts = 0
+
+    def blow_up(message):
+        """IntegrationBlowUp at the last accepted point, with the counts so far."""
+        return IntegrationBlowUp(message, t, y, 2 + 12 * attempts, attempts - len(steps))
 
     for _ in range(MAX_STEPS):
         # a final sliver below machine resolution counts as arrival, not underflow
@@ -225,38 +388,26 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
             break
         h = min(h, t1 - t, max_step)
         if h < h_min:
-            raise IntegrationBlowUp(
-                "step size underflow at t=%g (|y|=%g): solution blow-up" % (t, max(map(abs, y))),
-                t, y,
-            )
-        k1 = f_cur
-        k2 = f(t + _C2 * h, [v + h * (_A21 * p1) for v, p1 in zip(y, k1)])
-        k3 = f(t + _C3 * h, [v + h * (_A31 * p1 + _A32 * p2)
-                             for v, p1, p2 in zip(y, k1, k2)])
-        k4 = f(t + _C4 * h, [v + h * (_A41 * p1 + _A42 * p2 + _A43 * p3)
-                             for v, p1, p2, p3 in zip(y, k1, k2, k3)])
-        k5 = f(t + _C5 * h, [v + h * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-                             for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-        k6 = f(t + h, [v + h * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
-                       for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [v + h * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
-                 for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(t + h, y_new)
-        if not _finite(chain(k2, k3, k4, k5, k6, k7, y_new)):
-            raise IntegrationBlowUp(
-                "non-finite state at t=%g: solution blow-up" % (t + h), t, y
-            )
-        err_vec = [h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
-                   for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
-        err = _rms_scaled(err_vec, _weights(y, y_new, rtol, atol))
+            raise blow_up(
+                "step size underflow at t=%g (|y|=%g): solution blow-up" % (t, max(map(abs, y))))
+        attempts += 1
+        k = [f_cur]
+        for c, row in _STEP_STAGES:
+            k.append(f(t + c * h, _advance(y, h, row, k)))
+        y_new = _advance(y, h, _B, k)
+        k.append(f(t + h, y_new))
+        if not _finite(chain(y_new, *k[1:])):
+            raise blow_up("non-finite state at t=%g: solution blow-up" % (t + h))
+        err, err_est = _error_norm(_sums(_E5, k), _sums(_E3, k), h,
+                                   _weights(y, y_new, rtol, atol))
         if err <= 1.0:
-            steps.append(_Step(t_old=t, h=h, y_old=y, k=(k1, k2, k3, k4, k5, k6, k7)))
+            steps.append(_Step(t_old=t, h=h, y_old=y, k=k))
             t = t + h
             y = y_new
-            f_cur = k7  # FSAL
+            f_cur = k[12]  # FSAL
             ts.append(t)
             ys.append(y)
-            err_ests.append(max(map(abs, err_vec)))
+            err_ests.append(err_est)
             factor = MAX_FACTOR if err == 0 else SAFETY * err**-EXPONENT * err_prev**BETA
             factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
             if rejected:
@@ -268,7 +419,8 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
             rejected = True
             h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
     else:
-        raise IntegrationBlowUp("step budget exhausted at t=%g after MAX_STEPS=%d steps: the flow "
-                                "may be stiff or the span too long" % (t, MAX_STEPS), t, y)
+        raise blow_up("step budget exhausted at t=%g after MAX_STEPS=%d steps: the flow "
+                      "may be stiff or the span too long" % (t, MAX_STEPS))
 
-    return RkSolution(ts=ts, ys=ys, err_ests=err_ests, steps=steps)
+    return RkSolution(ts=ts, ys=ys, err_ests=err_ests, steps=steps, f=f,
+                      rhs_evals=2 + 12 * attempts, steps_rejected=attempts - len(steps))

@@ -292,8 +292,10 @@ def test_omega_flow_residual_along_dense_output():
     ],
 )
 def test_omega_flow_computes_A_once_per_distinct_stage_time(initial, t0, t1, tol, max_step):
-    # the reference calls omega_field at every stage: 2 + 6 per attempted
-    # step; the flow shares A between the last two stages, both at t + h
+    # the reference calls omega_field at every stage: 2 + 12 per attempted
+    # step; the flow shares A between the last two stages, both at t + h,
+    # so it computes A 2 + 11 times per attempted step.  Dense output adds
+    # its three stages once, in the step it lands in.
     stage_times = []
 
     def every_stage(t, y):
@@ -301,11 +303,20 @@ def test_omega_flow_computes_A_once_per_distinct_stage_time(initial, t0, t1, tol
         return omega_field(y, t)
 
     ref = integrate(every_stage, t0, t1, initial, rtol=tol, atol=tol, max_step=max_step)
-    attempted, rest = divmod(len(stage_times) - 2, 6)
-    assert rest == 0 and attempted >= len(ref.ts) - 1 > 20
+    attempted = len(ref.steps) + ref.steps_rejected
+    assert len(stage_times) == ref.rhs_evals == 2 + 12 * attempted
+    assert len(ref.steps) > 5
     with mock.patch.object(bianchi, "theta_A_solution", wraps=theta_A_solution) as spy:
         traj = omega_theta_flow(initial, t0, t1, tol=tol, max_step=max_step)
-    assert spy.call_count == 2 + 5 * attempted
+        sol = traj._solution
+        assert sol.steps_rejected == ref.steps_rejected
+        assert spy.call_count == 2 + 11 * attempted
+        ts = traj.ts
+        traj.at(0.5 * (ts[3] + ts[4]))
+        assert spy.call_count == 2 + 11 * attempted + 3
+        traj.at(0.25 * ts[3] + 0.75 * ts[4])
+        assert spy.call_count == 2 + 11 * attempted + 3
+        assert sol.rhs_evals == ref.rhs_evals + 3
     assert traj.ts == ref.ts
     assert traj.states == [tuple(y) for y in ref.ys]
 

@@ -205,7 +205,7 @@ def test_integrate_reports_blowup():
 
 def test_integrate_spent_step_budget_is_not_a_blowup(monkeypatch):
     # Toward the cusp the flow damps t2 - t3 at rate pi per unit of Im tau:
-    # stiff, not singular, so DOPRI5's steps stay near 1 in Im tau and any
+    # stiff, not singular, so DOP853's steps stay near 2 in Im tau and any
     # budget runs out long before 1e6 i.  A small budget keeps this fast.
     monkeypatch.setattr(rk, "MAX_STEPS", 50)
     with pytest.raises(IntegrationBlowUp) as exc:
@@ -214,6 +214,7 @@ def test_integrate_spent_step_budget_is_not_a_blowup(monkeypatch):
     assert msg.startswith("Darboux-Halphen integration stopped near tau=")
     assert "MAX_STEPS=50" in msg and "stiff" in msg
     assert "blow-up" not in msg
+    assert exc.value.rhs_evals == 2 + 12 * 50  # every attempt of the budget
 
 
 def test_integrate_validates_arguments():

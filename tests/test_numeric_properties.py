@@ -1,6 +1,6 @@
-"""Property tests of the pure-Python numerics against numpy oracles: the
-DOPRI5 integrator against the numpy implementation kept in test_rk.py, and
-cubic_roots against numpy.roots."""
+"""Property tests of the pure-Python numerics: the DOP853 integrator against
+the numpy implementation kept in test_rk.py and against the closed forms it
+integrates, and cubic_roots against numpy.roots."""
 
 import cmath
 import contextlib
@@ -18,18 +18,20 @@ from test_rk import (  # noqa: E402
     assert_same_mesh,
     dh_segment_mesh,
     dh_segment_rhs,
+    numpy_error_norm,
     numpy_integrate,
     numpy_rms_scaled,
 )
 
-from halphen import dh, rk  # noqa: E402
+from halphen import bianchi, dh, rk  # noqa: E402
 from halphen.frobenius import cubic_roots, root_set_distance  # noqa: E402
 
 EPS = sys.float_info.epsilon
 
-# -- DOPRI5 on Darboux-Halphen segments ------------------------------------------------
+# -- DOP853 on Darboux-Halphen segments and the Omega flow -----------------------------
 
 upper_tau = st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.3, 2.5))
+axis_t = st.floats(0.3, 2.5)
 tolerances = st.sampled_from([1e-8, 1e-10, 1e-12])
 
 
@@ -39,11 +41,15 @@ def numpy_weights(y, y_new, rtol, atol):
 
 
 @contextlib.contextmanager
-def numpy_error_norm():
-    """rk's error weights and weighted RMS computed by numpy."""
+def numpy_norms():
+    """rk's error weights and weighted norms computed by numpy."""
     with mock.patch.object(rk, "_weights", numpy_weights), mock.patch.object(
         rk, "_rms_scaled",
         lambda e, scale: numpy_rms_scaled(np.asarray(e, dtype=complex), np.asarray(scale)),
+    ), mock.patch.object(
+        rk, "_error_norm",
+        lambda e5, e3, h, scale: numpy_error_norm(
+            np.asarray(e5, dtype=complex), np.asarray(e3, dtype=complex), h, np.asarray(scale)),
     ):
         yield
 
@@ -54,25 +60,49 @@ def test_dh_mesh_matches_numpy_with_its_error_norm(tau0, tau1, tol):
     # numpy's complex abs is sqrt(fma(r, r, 1)) * max(|re|, |im|), which plain
     # Python cannot round alike; the error estimate's cancellation blows a
     # last-bit difference up to ~1e-8 in the step sizes.  With numpy's
-    # rounding of the weighted norm the stepping is otherwise the same
+    # rounding of the weighted norms the stepping is otherwise the same
     # arithmetic, so the meshes agree.
     assume(abs(tau1 - tau0) > 1e-3)
     initial = tuple(dh.dh_theta_solution(tau0))
-    with numpy_error_norm():
+    with numpy_norms():
         traj = dh.dh_integrate(initial, tau0, tau1, tol=tol)
     ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, tol, tol)
     assert_same_mesh(traj.ts, traj.states, dh_segment_mesh(tau0, tau1, ref), ref.ys)
 
 
+def assert_within_tolerance(got, want, tol):
+    """got is within 10 tol |want| of want, |want| the largest component."""
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 10 * tol * max(map(abs, want))
+
+
+def assert_err_ests_within_weights(traj, tol):
+    """Each accepted step's estimate is at most atol + rtol max|y| over the
+    step's two ends, the weight the controller accepted it on."""
+    for e, y_old, y_new in zip(traj.err_ests[1:], traj.states, traj.states[1:]):
+        assert e <= tol + tol * max(map(abs, y_old + y_new))
+
+
 @settings(max_examples=40, deadline=None)
 @given(upper_tau, upper_tau, tolerances)
-def test_dh_endpoint_matches_numpy_to_the_tolerance(tau0, tau1, tol):
+def test_dh_flow_matches_closed_form_to_the_tolerance(tau0, tau1, tol):
     assume(abs(tau1 - tau0) > 1e-3)
-    initial = tuple(dh.dh_theta_solution(tau0))
-    traj = dh.dh_integrate(initial, tau0, tau1, tol=tol)
-    ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, tol, tol)
-    scale = max(abs(v) for v in ref.ys[-1])
-    assert max(abs(a - b) for a, b in zip(traj.states[-1], ref.ys[-1])) <= tol * scale
+    traj = dh.dh_integrate(tuple(dh.dh_theta_solution(tau0)), tau0, tau1, tol=tol)
+    assert_within_tolerance(traj.states[-1], dh.dh_theta_solution(tau1), tol)
+    mid = 0.5 * (tau0 + tau1)
+    assert_within_tolerance(traj.at(mid), dh.dh_theta_solution(mid), tol)
+    assert_err_ests_within_weights(traj, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.1, 1.0), axis_t, axis_t, tolerances)
+def test_omega_flow_matches_flat_family_to_the_tolerance(q0, t0, t1, tol):
+    t0, t1 = min(t0, t1), max(t0, t1)
+    assume(t1 - t0 > 1e-3)
+    traj = bianchi.omega_theta_flow(bianchi.flat_family(t0, q0).omega, t0, t1, tol=tol)
+    assert_within_tolerance(traj.states[-1], bianchi.flat_family(t1, q0).omega, tol)
+    mid = 0.5 * (t0 + t1)
+    assert_within_tolerance(traj.at(mid), bianchi.flat_family(mid, q0).omega, tol)
+    assert_err_ests_within_weights(traj, tol)
 
 
 # -- cubic roots ---------------------------------------------------------------------------

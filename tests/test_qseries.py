@@ -10,7 +10,6 @@ import pytest
 from halphen.dh import dh_integrate, dh_theta_solution
 from halphen.qseries import (
     PiGradedQSeries,
-    TauPoint,
     ThetaCharacteristics,
     eisenstein_series,
     eval_series,
@@ -350,7 +349,7 @@ def test_eval_constant():
 
 
 def test_eval_theta3_matches_direct_sum_at_i():
-    got = eval_series(theta_series(3, 200), TauPoint(1j))
+    got = eval_series(theta_series(3, 200), 1j)
     want = direct_theta3(1j)
     assert abs(got - want) < 1e-13
     assert abs(got - 1.08643481) < 1e-7
@@ -429,18 +428,13 @@ def test_characteristics_require_upper_half_plane():
         theta_char_eval(ThetaCharacteristics(r=0.0, s=0.0, z=0.0, sigma=1e-300j))
 
 
-def test_tau_point_validation():
-    with pytest.raises(ValueError):
-        TauPoint(1.0 - 2j)
-
-
 @pytest.mark.parametrize(
     "tau",
     [complex(math.nan, 1), complex(0, math.nan), complex(math.inf, 1), complex(-math.inf, 1),
      complex(math.nan, math.inf), complex(math.inf, math.inf)],
 )
 def test_non_finite_tau_is_refused(tau):
-    calls = [tau_complex, TauPoint, theta_log_jets, dh_theta_solution,
+    calls = [tau_complex, theta_log_jets, dh_theta_solution,
              lambda t: theta_numeric(3, t), lambda t: eval_series(theta_series(3, 10), t),
              lambda t: dh_integrate((1, 1, 1), t, 1j, 1e-8),
              lambda t: dh_integrate((1, 1, 1), 1j, t, 1e-8)]

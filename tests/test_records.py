@@ -20,7 +20,6 @@ RECORDS = [
     frobenius.PotentialJet(1, 2, 3, 4),
     frobenius.GammaJet(1, 2, 3, 4),
     gauss_manin.gm_matrix((1, 2, 3)),
-    qseries.TauPoint(1j),
     qseries.ThetaCharacteristics(0, 0, 0, 1j),
     ramanujan.EisensteinState(1, 2, 3),
     ramanujan.MapConstants.numeric(),
@@ -39,7 +38,6 @@ def test_records_are_immutable_tuples(record):
 
 
 def test_records_coerce_and_default():
-    assert type(qseries.TauPoint(2j).value) is complex
     assert all(type(v) is complex for v in qseries.ThetaCharacteristics(0, 1, 0.5, 1j))
     assert bianchi.OmegaAState((1, 2, 3)).a is None
     assert bianchi.TodHitchinParams(0.25, 0.5)[2:] == (1.0, 0.0)

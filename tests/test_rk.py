@@ -6,20 +6,58 @@ import pytest
 
 from halphen import bianchi, dh
 from halphen.rk import (
-    A, B, BETA, C, E, EXPONENT, MAX_FACTOR, MIN_FACTOR, P, SAFETY, IntegrationBlowUp, integrate,
+    A, B, BETA, C, D, E3, E5, EXPONENT, MAX_FACTOR, MIN_FACTOR, SAFETY, IntegrationBlowUp,
+    integrate,
 )
 
 
+def dense(rows, width):
+    """The sparse tableau rows {stage: coefficient} as a float array."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[i, j] = a
+    return out
+
+
+NP_C = np.array(C)
+NP_A = dense(A, 16)
+NP_B = NP_A[12, :12]
+NP_E5, NP_E3 = dense([E5, E3], 12)
+NP_D = dense(D, 16)
+
+
 def test_tableau_consistency():
-    # stage abscissae are row sums of A; weights sum to 1; E sums to 0.
-    assert np.allclose(np.sum(A, axis=1), C[:6])
-    assert abs(sum(B) - 1) < 1e-15
-    assert abs(sum(E)) < 1e-15
+    # stage abscissae are row sums of A (row 12, the weights, sums to 1);
+    # the weights integrate t**k exactly for k <= 7; the embedded
+    # differences E3 and E5 sum to 0.
+    assert np.allclose(NP_A.sum(axis=1), NP_C, rtol=0, atol=1e-14)
+    for k in range(8):
+        assert abs(NP_B @ NP_C[:12] ** k - 1 / (k + 1)) < 1e-14
+    assert abs(sum(E3.values())) < 1e-14
+    assert abs(sum(E5.values())) < 1e-14
+
+
+def test_tableau_matches_scipy_dop853():
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert np.array_equal(NP_A, coeffs.A)
+    assert np.array_equal(NP_C, coeffs.C)
+    assert np.array_equal(NP_E5, coeffs.E5[:12]) and coeffs.E5[12] == 0
+    assert np.array_equal(NP_E3, coeffs.E3[:12]) and coeffs.E3[12] == 0
+    assert np.array_equal(NP_D, coeffs.D)
 
 
 def test_dense_coefficients_match_weights_at_unit_theta():
-    # the continuous extension must hit the accepted endpoint exactly.
-    assert np.allclose(np.sum(P, axis=1), B, atol=1e-12)
+    # the continuous extension starts at each step's y_old (theta = 0) and
+    # ends at its y_new (theta = 1), approached from inside the step
+    sol = integrate(lambda t, y: [1j * v - 0.3 * t for v in y], 0.0, 4.0, [1.0 + 0.5j, 2j],
+                    rtol=1e-9, atol=1e-9)
+    assert len(sol.steps) > 5
+    for i, (t_old, y_old) in enumerate(zip(sol.ts[:-1], sol.ys)):
+        assert sol.at(t_old) == y_old
+        end = sol.at(sol.ts[-1]) if i == len(sol.steps) - 1 else sol.at(
+            math.nextafter(sol.ts[i + 1], -math.inf))
+        assert max(abs(a - b) for a, b in zip(end, sol.ys[i + 1])) < 1e-14
 
 
 def test_exponential_decay_accuracy():
@@ -57,6 +95,7 @@ def test_blowup_is_reported():
         integrate(lambda t, y: [v * v for v in y], 0.0, 2.0, [1.0 + 0j], rtol=1e-8, atol=1e-10)
     assert exc.value.t_reached < 2.0
     assert exc.value.t_reached == pytest.approx(1.0, abs=1e-2)
+    assert exc.value.rhs_evals > 2 and (exc.value.rhs_evals - 2) % 12 == 0
 
 
 def test_error_estimates_recorded():
@@ -75,10 +114,9 @@ def test_invalid_arguments():
 
 # -- numpy reference integrator ------------------------------------------------------
 #
-# The numpy implementation the pure-Python integrator replaced, kept as an
-# oracle: same tableau, step control and dense output, on complex128 arrays.
-
-NP_C, NP_A, NP_B, NP_E, NP_P = (np.array(m, dtype=float) for m in (C, A, B, E, P))
+# A numpy DOP853 kept as an oracle: the same tableau, step control and
+# dense output on complex128 arrays, with the continuous extension
+# evaluated on its power basis rather than in nested form.
 
 
 @dataclass
@@ -86,16 +124,37 @@ class NumpySolution:
     ts: np.ndarray
     ys: np.ndarray
     err_ests: np.ndarray
-    steps: list  # (t_old, h, y_old, q) per accepted step
+    steps: list  # (t_old, h, y_old, y_new, K) per accepted step, K the 13 stages
+    f: object
 
     def at(self, t):
         idx = min(max(np.searchsorted(self.ts, t, side="right") - 1, 0), len(self.steps) - 1)
-        t_old, h, y_old, q = self.steps[idx]
-        return y_old + h * (q @ (((t - t_old) / h) ** np.arange(1, 5)))
+        t_old, h, y_old, y_new, K = self.steps[idx]
+        K = np.vstack([K, np.empty((3, y_old.size), dtype=complex)])
+        for s in range(13, 16):
+            K[s] = self.f(t_old + NP_C[s] * h, y_old + h * (NP_A[s, :s] @ K[:s]))
+        dy = y_new - y_old
+        F = np.vstack([dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]), h * (NP_D @ K)])
+        x = (t - t_old) / h
+        # y_old + x (F0 + (1-x) (F1 + x (F2 + ...))): F_j has x**(j//2+1) (1-x)**((j+1)//2)
+        j = np.arange(7)
+        return y_old + (x ** (j // 2 + 1) * (1 - x) ** ((j + 1) // 2)) @ F
 
 
 def numpy_rms_scaled(e, scale):
     return float(np.sqrt(np.mean(np.abs(e / scale) ** 2)))
+
+
+def numpy_error_norm(e5, e3, h, scale):
+    """Hairer's combined 5th/3rd-order norm and the RMS of h*e5 shrunk by
+    the same factor."""
+    n5 = np.sum(np.abs(e5 / scale) ** 2)
+    n3 = np.sum(np.abs(e3 / scale) ** 2)
+    if n5 == 0:
+        return 0.0, 0.0
+    denom = n5 + 0.01 * n3
+    err = abs(h) * n5 / np.sqrt(scale.size * denom)
+    return float(err), float(abs(h) * np.sqrt(n5 / denom) * np.sqrt(np.mean(np.abs(e5) ** 2)))
 
 
 def numpy_integrate(f, t0, t1, y0, rtol, atol, max_step=np.inf):
@@ -108,28 +167,28 @@ def numpy_integrate(f, t0, t1, y0, rtol, atol, max_step=np.inf):
     h0 = 1e-6 * span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     f1 = np.asarray(f(t + h0, y + h0 * f_cur), dtype=complex)
     d2 = numpy_rms_scaled(f1 - f_cur, scale) / h0
-    h1 = max(1e-6 * span, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h1 = max(1e-6 * span, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     h = min(100 * h0, h1, span, max_step)
     h_min = 16 * np.finfo(float).eps * max(abs(t0), abs(t1), 1.0)
     ts, ys, err_ests, steps = [t], [y.copy()], [0.0], []
     err_prev, rejected = 1e-4, False
-    k = np.empty((7, y.size), dtype=complex)
+    K = np.empty((13, y.size), dtype=complex)
     while not (t >= t1 or t1 - t < h_min):
         h = min(h, t1 - t, max_step)
         assert h >= h_min, "step size underflow"
-        k[0] = f_cur
-        for i in range(1, 6):
-            k[i] = f(t + NP_C[i] * h, y + h * (NP_A[i, :i] @ k[:i]))
-        y_new = y + h * (NP_B[:6] @ k[:6])
-        k[6] = f(t + h, y_new)
-        err_vec = h * (NP_E @ k)
-        err = numpy_rms_scaled(err_vec, atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        K[0] = f_cur
+        for s in range(1, 12):
+            K[s] = f(t + NP_C[s] * h, y + h * (NP_A[s, :s] @ K[:s]))
+        y_new = y + h * (NP_B @ K[:12])
+        K[12] = f(t + h, y_new)
+        err, err_est = numpy_error_norm(NP_E5 @ K[:12], NP_E3 @ K[:12], h,
+                                        atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
         if err <= 1.0:
-            steps.append((t, h, y.copy(), k.T @ NP_P))
-            t, y, f_cur = t + h, y_new, k[6].copy()
+            steps.append((t, h, y.copy(), y_new, K.copy()))
+            t, y, f_cur = t + h, y_new, K[12].copy()
             ts.append(t)
             ys.append(y.copy())
-            err_ests.append(float(np.max(np.abs(err_vec))))
+            err_ests.append(err_est)
             factor = MAX_FACTOR if err == 0 else SAFETY * err**-EXPONENT * err_prev**BETA
             factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
             h *= min(1.0, factor) if rejected else factor
@@ -137,7 +196,7 @@ def numpy_integrate(f, t0, t1, y0, rtol, atol, max_step=np.inf):
         else:
             rejected = True
             h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
-    return NumpySolution(np.array(ts), np.array(ys), np.array(err_ests), steps)
+    return NumpySolution(np.array(ts), np.array(ys), np.array(err_ests), steps, f)
 
 
 def dh_segment_rhs(tau0, tau1):
