@@ -84,12 +84,31 @@ def assert_err_ests_within_weights(traj, tol):
 
 @settings(max_examples=40, deadline=None)
 @given(upper_tau, upper_tau, tolerances)
+def test_dh_endpoint_matches_numpy_to_the_tolerance(tau0, tau1, tol):
+    assume(abs(tau1 - tau0) > 1e-3)
+    initial = tuple(dh.dh_theta_solution(tau0))
+    traj = dh.dh_integrate(initial, tau0, tau1, tol=tol)
+    ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, tol, tol)
+    scale = max(abs(v) for v in ref.ys[-1])
+    assert max(abs(a - b) for a, b in zip(traj.states[-1], ref.ys[-1])) <= tol * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(upper_tau, upper_tau, tolerances)
 def test_dh_flow_matches_closed_form_to_the_tolerance(tau0, tau1, tol):
+    # The tolerance bounds each step's error, not the endpoint's: towards the
+    # real axis the flow amplifies early errors about tenfold (2.5i -> 0.375i
+    # ends 12 tol |y| off the closed form, as scipy's DOP853 ends 54 tol |y|
+    # off).  So the flow is restarted from the closed form at each mesh point,
+    # and must reach the next one, and the middle of the interval, within
+    # tol |y| of it.
     assume(abs(tau1 - tau0) > 1e-3)
     traj = dh.dh_integrate(tuple(dh.dh_theta_solution(tau0)), tau0, tau1, tol=tol)
-    assert_within_tolerance(traj.states[-1], dh.dh_theta_solution(tau1), tol)
-    mid = 0.5 * (tau0 + tau1)
-    assert_within_tolerance(traj.at(mid), dh.dh_theta_solution(mid), tol)
+    for a, b in zip(traj.ts, traj.ts[1:]):
+        step = dh.dh_integrate(tuple(dh.dh_theta_solution(a)), a, b, tol=tol)
+        for got, want in ((step.states[-1], dh.dh_theta_solution(b)),
+                          (step.at(0.5 * (a + b)), dh.dh_theta_solution(0.5 * (a + b)))):
+            assert max(abs(u - v) for u, v in zip(got, want)) <= tol * max(map(abs, want))
     assert_err_ests_within_weights(traj, tol)
 
 
