@@ -81,10 +81,6 @@ class SelfDualitySign(namedtuple("SelfDualitySign", "sign")):
     def lambdas(self):
         return (2 * self.sign,) * 3
 
-    @classmethod
-    def coerce(cls, value) -> "SelfDualitySign":
-        return value if isinstance(value, SelfDualitySign) else cls(int(value))
-
 
 SELF_DUAL = SelfDualitySign(1)
 ANTI_SELF_DUAL = SelfDualitySign(-1)
@@ -103,8 +99,8 @@ class MetricCoeffs(namedtuple("MetricCoeffs", "c1 c2 c3")):
         return self.c1 * self.c2 * self.c3
 
 
-# a is the A-component of the coupled system, None where it is not needed
-OmegaAState = namedtuple("OmegaAState", "omega a", defaults=(None,))
+# a is the A-component of the coupled system
+OmegaAState = namedtuple("OmegaAState", "omega a")
 
 
 class TodHitchinParams(namedtuple("TodHitchinParams", "p q lam q0", defaults=(1.0, 0.0))):
@@ -147,7 +143,7 @@ omega_ij[k-1]: coefficient of s^k in w^i_j for the cyclic pair (i, j) of k."""
 
 
 def connection_one_form(c, dc_dr) -> ConnectionOneForm:
-    coeffs = MetricCoeffs(*c) if not isinstance(c, MetricCoeffs) else c
+    coeffs = MetricCoeffs(*c)
     c0 = coeffs.c0
     w_i0 = tuple(d / c0 for d in dc_dr)
     cyc = ((2, 3), (3, 1), (1, 2))  # (i, j) whose missing index is k = 1, 2, 3
@@ -155,12 +151,11 @@ def connection_one_form(c, dc_dr) -> ConnectionOneForm:
     return ConnectionOneForm(omega_i0=w_i0, omega_ij=w_ij)
 
 
-def sd_reduced_residual(c, dc_dr, sign) -> tuple:
+def sd_reduced_residual(c, dc_dr, sign: SelfDualitySign) -> tuple:
     """Residuals of d/dr log(c_i^2) = (upper/lower) 2 (c_j^2 + c_k^2 - c_i^2
     - 2 c_j c_k), left minus right, sign-resolved."""
-    s = SelfDualitySign.coerce(sign).upper_lower
-    coeffs = MetricCoeffs(*c) if not isinstance(c, MetricCoeffs) else c
-    c1, c2, c3 = coeffs
+    s = sign.upper_lower
+    c1, c2, c3 = MetricCoeffs(*c)
     d1, d2, d3 = dc_dr
     out = []
     for (ci, di), (cj, _), (ck, _) in (
@@ -177,31 +172,24 @@ def sd_reduced_residual(c, dc_dr, sign) -> tuple:
 # -- Omega parametrisation --------------------------------------------------------
 
 
-def omega_from_c(c) -> OmegaAState:
+def omega_from_c(c) -> tuple:
     c1, c2, c3 = c
-    return OmegaAState(omega=(2 * c2 * c3, 2 * c1 * c3, 2 * c1 * c2))
+    return (2 * c2 * c3, 2 * c1 * c3, 2 * c1 * c2)
 
 
 def c_from_omega(omega) -> MetricCoeffs:
     """Inverse of omega_from_c on the positive cone: c_i^2 = O_j O_k / (2 O_i)."""
-    o = omega.omega if isinstance(omega, OmegaAState) else tuple(omega)
-    o1, o2, o3 = o
+    o1, o2, o3 = omega
     squares = (o2 * o3 / (2 * o1), o1 * o3 / (2 * o2), o1 * o2 / (2 * o3))
     if any(s <= 0 for s in squares):
         raise ValueError("Omega ratios must be positive to recover metric coefficients")
     return MetricCoeffs(*(math.sqrt(s) for s in squares))
 
 
-def classical_dh_omega_field(omega, sign) -> tuple:
-    """dOmega_k/dr = (upper/lower)(O_i O_j - O_k O_i - O_k O_j); the
-    self-dual branch is componentwise the Darboux-Halphen field."""
-    s = SelfDualitySign.coerce(sign).upper_lower
-    o1, o2, o3 = omega
-    return (
-        s * (o2 * o3 - o1 * o2 - o1 * o3),
-        s * (o3 * o1 - o2 * o3 - o2 * o1),
-        s * (o1 * o2 - o3 * o1 - o3 * o2),
-    )
+def classical_dh_omega_field(omega, sign: SelfDualitySign) -> tuple:
+    """dOmega_k/dr = (upper/lower)(O_i O_j - O_k O_i - O_k O_j): sign times
+    the Darboux-Halphen field, which it is itself on the self-dual branch."""
+    return tuple(sign.sign * d for d in dh_vector_field(omega))
 
 
 def _omega_rate(omega, a):
@@ -218,8 +206,6 @@ def _omega_rate(omega, a):
 def coupled_field(state: OmegaAState):
     """dOmega_i/dt = -O_j O_k + O_i(A_j + A_k) coupled to the
     Darboux-Halphen flow of the A_i; returns (dOmega, dA)."""
-    if state.a is None:
-        raise ValueError("coupled_field needs the A-component of the state")
     return _omega_rate(state.omega, state.a), dh_vector_field(state.a)
 
 
@@ -294,7 +280,7 @@ def flat_family(t: float, q0: float) -> OmegaAState:
 
 def flat_conformal_factor(omega, t: float, q0: float, C: float) -> float:
     """F = C (t + q0)**2 O1 O2 O3 at a point omega of the flat family."""
-    o1, o2, o3 = omega.omega if isinstance(omega, OmegaAState) else tuple(omega)
+    o1, o2, o3 = omega
     return C * (t + q0) ** 2 * o1 * o2 * o3
 
 
@@ -309,9 +295,9 @@ def tod_hitchin_omega1(params: TodHitchinParams, t: float) -> complex:
     where th[r, s] is the characteristic theta at (z=0, sigma=it) and D its
     derivative in the second characteristic (equal to the z-derivative)."""
     _, th3, th4 = _axis_jets(t)[0]
-    num = theta_char_dz(ThetaCharacteristics(params.p, params.q + 0.5, 0.0, 1j * t))
+    num = theta_char_dz(ThetaCharacteristics(params.p, params.q + 0.5, 1j * t))
     den = cmath.exp(1j * math.pi * params.p) * theta_char_eval(
-        ThetaCharacteristics(params.p, params.q, 0.0, 1j * t)
+        ThetaCharacteristics(params.p, params.q, 1j * t)
     )
     if den == 0:
         raise ZeroDivisionError("characteristic theta vanishes in the denominator")
@@ -324,7 +310,7 @@ def constraint_lhs_rhs(omega, t: float):
         th2^4 O1^2 - th3^4 O2^2 + th4^4 O3^2 = (pi^2/4) th2^4 th3^4 th4^4.
 
     The left side is quadratic in Omega, the right side Omega-free."""
-    o1, o2, o3 = omega.omega if isinstance(omega, OmegaAState) else tuple(omega)
+    o1, o2, o3 = omega
     # complex, so th**4 is complex powering, not the float pow of libm
     th2, th3, th4 = map(complex, _axis_jets(t)[0])
     lhs = th2**4 * o1 * o1 - th3**4 * o2 * o2 + th4**4 * o3 * o3
@@ -342,9 +328,8 @@ def lambda_conformal_factor(omega, params: TodHitchinParams, t: float):
     the Einstein representative for cosmological constant L."""
     if params.lam == 0:
         raise ValueError("cosmological constant must be nonzero")
-    o = omega.omega if isinstance(omega, OmegaAState) else tuple(omega)
-    o1, o2, o3 = o
-    ch = ThetaCharacteristics(params.p, params.q, 0.0, 1j * t)
+    o1, o2, o3 = omega
+    ch = ThetaCharacteristics(params.p, params.q, 1j * t)
     val = theta_char_eval(ch)
     if val == 0:
         raise ZeroDivisionError("characteristic theta vanishes")

@@ -319,7 +319,7 @@ def cmd_bianchi_flat_family(args):
         omegas.append(state.omega)
         field = bianchi.omega_field(state.omega, t)
         residuals.append(float(max(abs(a - b) for a, b in zip(rate, field))))
-        factors.append(float(bianchi.flat_conformal_factor(state, t, args.q0, args.C)))
+        factors.append(float(bianchi.flat_conformal_factor(state.omega, t, args.q0, args.C)))
     columns = [("t", ts), ("omega", omegas), ("residual", residuals), ("F", factors)]
     worst = max(residuals)
     results = {"t_grid": ts, "max_residual": worst, "q0": args.q0, "C": args.C}
@@ -340,7 +340,7 @@ def cmd_bianchi_verify_constraint(args):
     quad_ok = abs(lhs2 - 4 * lhs) < 1e-9 * max(1.0, abs(lhs)) and rhs2 == rhs
     theta_ok = True
     for which, (r, s) in {2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}.items():
-        ch = qseries.ThetaCharacteristics(r, s, 0.0, 1j * args.t)
+        ch = qseries.ThetaCharacteristics(r, s, 1j * args.t)
         want = qseries.eval_series(qseries.theta_series(which, 400), 1j * args.t)
         theta_ok &= abs(qseries.theta_char_eval(ch) - want) <= 1e-12 * abs(want)
 
@@ -391,17 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)
 
-    def add(sub, name, handler, command_name=None, fmt_default="json"):
+    def add(sub, name, handler, fmt_default="json"):
         p = sub.add_parser(name)
         p._negative_number_matcher = _NEGATIVE_VALUE  # no public hook for this
-        p.set_defaults(handler=handler, command_name=command_name or name, fmt_default=fmt_default)
+        # prog is "halphen GROUP NAME"; reports name the command "GROUP NAME"
+        command_name = p.prog.removeprefix("halphen ")
+        p.set_defaults(handler=handler, command_name=command_name, fmt_default=fmt_default)
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="report format (default %s)" % fmt_default)
         p.add_argument("--out", default=None, help="write the report to a file")
         return p
 
     dh_p = top.add_parser("dh").add_subparsers(dest="command", required=True)
-    p = add(dh_p, "integrate", cmd_dh_integrate, "dh integrate", fmt_default="csv")
+    p = add(dh_p, "integrate", cmd_dh_integrate, fmt_default="csv")
     p.add_argument("--t0", type=parse_complex, required=True, help="segment start RE,IM")
     p.add_argument("--t1", type=parse_complex, required=True, help="segment end RE,IM")
     p.add_argument("--initial", type=parse_state, default=None,
@@ -409,48 +411,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=positive_float, default=1e-10)
     p.add_argument("--max-step", type=positive_float)
 
-    p = add(dh_p, "theta", cmd_dh_theta, "dh theta")
+    p = add(dh_p, "theta", cmd_dh_theta)
     p.add_argument("--tau", type=parse_complex, required=True)
     p.add_argument("--tol", type=positive_float, default=1e-6)
 
     series_p = top.add_parser("series").add_subparsers(dest="command", required=True)
-    p = add(series_p, "eisenstein", cmd_series_eisenstein, "series eisenstein")
+    p = add(series_p, "eisenstein", cmd_series_eisenstein)
     p.add_argument("--k", type=int, choices=(2, 4, 6), required=True)
     p.add_argument("--order", type=series_order, required=True)
 
-    p = add(series_p, "theta", cmd_series_theta, "series theta")
+    p = add(series_p, "theta", cmd_series_theta)
     p.add_argument("--which", type=int, choices=(2, 3, 4), required=True)
     p.add_argument("--order", type=series_order, required=True)
 
     verify_p = top.add_parser("verify").add_subparsers(dest="command", required=True)
-    p = add(verify_p, "ramanujan", cmd_verify_ramanujan, "verify ramanujan")
+    p = add(verify_p, "ramanujan", cmd_verify_ramanujan)
     p.add_argument("--order", type=series_order, default=30)
     p.add_argument("--samples", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=positive_float, default=1e-9)
 
-    p = add(verify_p, "chazy", cmd_verify_chazy, "verify chazy")
+    p = add(verify_p, "chazy", cmd_verify_chazy)
     p.add_argument("--order", type=series_order, default=30)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
-    p = add(verify_p, "gauss-manin", cmd_verify_gauss_manin, "verify gauss-manin")
+    p = add(verify_p, "gauss-manin", cmd_verify_gauss_manin)
     p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = add(verify_p, "darboux", cmd_verify_darboux, "verify darboux")
+    p = add(verify_p, "darboux", cmd_verify_darboux)
     p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     bianchi_p = top.add_parser("bianchi").add_subparsers(dest="command", required=True)
-    p = add(bianchi_p, "flow", cmd_bianchi_flow, "bianchi flow", fmt_default="csv")
+    p = add(bianchi_p, "flow", cmd_bianchi_flow, fmt_default="csv")
     p.add_argument("--t0", type=finite_float, required=True)
     p.add_argument("--t1", type=finite_float, required=True)
     p.add_argument("--initial", type=parse_triple, required=True, help="Omega1,Omega2,Omega3")
     p.add_argument("--tol", type=positive_float, default=1e-10)
     p.add_argument("--max-step", type=positive_float)
 
-    p = add(bianchi_p, "flat-family", cmd_bianchi_flat_family, "bianchi flat-family",
-            fmt_default="csv")
+    p = add(bianchi_p, "flat-family", cmd_bianchi_flat_family, fmt_default="csv")
     p.add_argument("--t0", type=finite_float, default=0.7)
     p.add_argument("--t1", type=finite_float, default=2.0)
     p.add_argument("--steps", type=positive_int, default=14)
@@ -458,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=finite_float, default=1.0)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
-    p = add(bianchi_p, "verify-constraint", cmd_bianchi_verify_constraint,
-            "bianchi verify-constraint")
+    p = add(bianchi_p, "verify-constraint", cmd_bianchi_verify_constraint)
     p.add_argument("--t", type=finite_float, required=True)
     p.add_argument("--omega", type=parse_triple, default=None,
                    help="candidate Omega triple (default: flat family at --q0)")
@@ -467,16 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=positive_float, default=1e-10)
 
     frob_p = top.add_parser("frobenius").add_subparsers(dest="command", required=True)
-    p = add(frob_p, "wdvv", cmd_frobenius_wdvv, "frobenius wdvv")
+    p = add(frob_p, "wdvv", cmd_frobenius_wdvv)
     p.add_argument("--tau", type=parse_complex, required=True)
     p.add_argument("--x", type=parse_complex, default=1 + 0j)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
-    p = add(frob_p, "chazy", cmd_verify_chazy, "frobenius chazy")
+    p = add(frob_p, "chazy", cmd_verify_chazy)
     p.add_argument("--order", type=series_order, default=30)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
-    p = add(frob_p, "cubic", cmd_frobenius_cubic, "frobenius cubic")
+    p = add(frob_p, "cubic", cmd_frobenius_cubic)
     p.add_argument("--tau", type=parse_complex, required=True)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .dh import dh_theta_solution
-from .qseries import eisenstein_series, eval_series, tau_complex, theta_q
+from .qseries import eisenstein_series, eval_series, tau_complex
 
 __all__ = [
     "PotentialJet",
@@ -119,11 +119,14 @@ def _inverse_3x3(m):
 
 def wdvv_residual_3d(third_partials, eta) -> float:
     """Max-abs associativity defect c_abl eta^lm c_mgd - c_dbl eta^lm c_mga
-    over all index tuples (a, b, g, d).
+    over all index tuples (a, b, g, d).  Third partials that are not
+    finite raise OverflowError, since max() would skip a NaN defect.
 
     eta must be nonsingular and symmetric to within |eta_ij - eta_ji| <=
     1e-8 + 1e-5 |eta_ji| (numpy's allclose rule)."""
     c = [[[complex(v) for v in row] for row in plane] for plane in third_partials]
+    if not all(cmath.isfinite(v) for plane in c for row in plane for v in row):
+        raise OverflowError("the third partials are not finite")
     eta = [[complex(v) for v in row] for row in eta]
     if len(eta) != 3 or any(len(row) != 3 for row in eta) or any(
         abs(eta[i][j] - eta[j][i]) > 1e-8 + 1e-5 * abs(eta[j][i])
@@ -159,9 +162,9 @@ def chazy_e2_exact(order: int):
     whose residual series (grading zero) is returned; identically zero.
     """
     g = eisenstein_series(2, order)
-    g1 = theta_q(g)
-    g2 = theta_q(g1)
-    g3 = theta_q(g2)
+    g1 = g.x_ddx()
+    g2 = g1.x_ddx()
+    g3 = g2.x_ddx()
     return 2 * g3 - (2 * g * g2 - 3 * g1 * g1)
 
 
@@ -180,7 +183,7 @@ def chazy_gamma_jet(tau) -> GammaJet:
     jets = []
     for k in range(4):
         jets.append(scale * (2j * math.pi) ** k * eval_series(cur, t, var="q"))
-        cur = theta_q(cur)
+        cur = cur.x_ddx()
     return GammaJet(*jets)
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "ThetaCharacteristics",
     "theta_series",
     "eisenstein_series",
-    "theta_q",
     "log_derivative",
     "log_unit",
     "eval_series",
@@ -67,7 +66,6 @@ __all__ = [
     "theta_numeric",
     "theta_char_eval",
     "theta_char_dz",
-    "sigma",
 ]
 
 EISENSTEIN_WEIGHT_COEFF = {2: -24, 4: 240, 6: -504}
@@ -443,17 +441,18 @@ class PiGradedQSeries:
 # -- points and characteristics -----------------------------------------------
 
 
-class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s z sigma")):
-    """Arguments of the two-characteristic theta sum
-    sum_m exp(pi*i*(m+r)**2*sigma + 2*pi*i*(m+r)*(z+s))."""
+class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s sigma")):
+    """Arguments of the two-characteristic theta sum at z = 0,
+    sum_m exp(pi*i*(m+r)**2*sigma + 2*pi*i*(m+r)*s).  z enters the sum only
+    through z + s, so a shift of s stands for one of z."""
 
     __slots__ = ()
 
-    def __new__(cls, r, s, z, sigma):
-        r, s, z, sigma = complex(r), complex(s), complex(z), complex(sigma)
+    def __new__(cls, r, s, sigma):
+        r, s, sigma = complex(r), complex(s), complex(sigma)
         if sigma.imag <= 0:
             raise ValueError("sigma must have positive imaginary part")
-        return super().__new__(cls, r, s, z, sigma)
+        return super().__new__(cls, r, s, sigma)
 
 
 def tau_complex(tau) -> complex:
@@ -494,22 +493,6 @@ def theta_series(which: int, order: int) -> PiGradedQSeries:
     return PiGradedQSeries._from_ints(num, 1, 0)
 
 
-def sigma(n: int, k: int) -> int:
-    """Divisor power sum: sum of d**k over the positive divisors of n."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-        d += 1
-    return total
-
-
 def eisenstein_series(k: int, order: int) -> PiGradedQSeries:
     """Weight-k Eisenstein expansion in q-units: constant term 1 and
     coefficient b_k * sigma_{k-1}(n) at q**n, b in {-24, 240, -504}."""
@@ -528,11 +511,6 @@ def eisenstein_series(k: int, order: int) -> PiGradedQSeries:
 
 
 # -- operators --------------------------------------------------------------
-
-
-def theta_q(s: PiGradedQSeries) -> PiGradedQSeries:
-    """The operator q*d/dq on a q-unit series: its Euler operator."""
-    return s.x_ddx()
 
 
 def log_derivative(s: PiGradedQSeries) -> PiGradedQSeries:
@@ -574,7 +552,10 @@ def eval_series(s: PiGradedQSeries, tau, var: str = "w") -> complex:
     The truncation tail is not estimated here; see theta_eval_tail_bound
     for the documented geometric bound covering theta expansions.
     """
+    # w and q have periods 8 and 1 in Re tau; fmod reduces exactly, so
+    # exp's phase is as accurate at Re tau = 1e15 as at 0.3
     t = tau_complex(tau)
+    t = complex(math.fmod(t.real, 8.0), t.imag)
     if var == "w":
         x = cmath.exp(2j * math.pi * t / 8)
     elif var == "q":
@@ -715,8 +696,8 @@ def theta_log_jets(tau):
     n = _theta_term_count(t.imag)
     if t.real == 0:
         z, exp = -math.pi * t.imag, math.exp  # pi*i*tau, real on the axis
-    else:
-        z, exp = 1j * math.pi * t, cmath.exp
+    else:  # Re tau reduced exactly: every theta jet has a period dividing 8
+        z, exp = 1j * math.pi * complex(math.fmod(t.real, 8.0), t.imag), cmath.exp
     (s2, d2, f2), (s3, d3, f3), (s4, d4, f4) = _theta_jets(exp(z), n)
     try:
         r2, r3, r4 = d2 / s2, d3 / s3, d4 / s4
@@ -737,8 +718,9 @@ def theta_numeric(which: int, tau):
     return value, 1j * math.pi * r[which - 2] * value
 
 
-def _theta_char_sum(ch: ThetaCharacteristics, weighted: bool) -> complex:
-    """Symmetric sum of the characteristic theta terms.
+def _theta_char_sum(ch: ThetaCharacteristics):
+    """(theta, d theta/ds) of the characteristic sum, from one pass over its
+    terms; d/ds gives each term a factor 2*pi*i*(m+r).
 
     log|term(m)| is an inverted parabola in u = m + Re(r) with curvature
     pi*Im(sigma); summing to sqrt(log(1/tol)/curvature) past the peak keeps
@@ -749,33 +731,27 @@ def _theta_char_sum(ch: ThetaCharacteristics, weighted: bool) -> complex:
     tol = 1e-15
     curvature = math.pi * ch.sigma.imag
     b = ch.r.imag
-    zs = ch.z + ch.s
-    slope = -2 * math.pi * (b * ch.sigma.real + zs.imag)
+    slope = -2 * math.pi * (b * ch.sigma.real + ch.s.imag)
     u_peak = slope / (2 * curvature)
     spread = math.sqrt((math.log(1 / tol) + 12.0) / curvature)
     m = abs(u_peak) + abs(ch.r.real) + spread
     if not m <= MAX_THETA_TERMS:
         raise ValueError("sigma=%r needs over %d theta terms" % (ch.sigma, MAX_THETA_TERMS))
     m_max = int(math.ceil(m)) + 3
-    total = 0j
+    total = d_total = 0j
     for m in range(-m_max, m_max + 1):
         mr = m + ch.r
-        term = cmath.exp(1j * math.pi * mr * mr * ch.sigma + 2j * math.pi * mr * zs)
-        if weighted:
-            term *= 2j * math.pi * mr
+        term = cmath.exp(1j * math.pi * mr * mr * ch.sigma + 2j * math.pi * mr * ch.s)
         total += term
-    return total
+        d_total += mr * term
+    return total, 2j * math.pi * d_total
 
 
 def theta_char_eval(ch: ThetaCharacteristics) -> complex:
     """Numeric value of the two-characteristic theta sum."""
-    return _theta_char_sum(ch, weighted=False)
+    return _theta_char_sum(ch)[0]
 
 
 def theta_char_dz(ch: ThetaCharacteristics) -> complex:
-    """d/dz of the theta sum: each term picks up 2*pi*i*(m+r).
-
-    z and the second characteristic s enter only through z + s, so this is
-    also the derivative with respect to s.
-    """
-    return _theta_char_sum(ch, weighted=True)
+    """d/ds of the theta sum, which is also its z-derivative at z = 0."""
+    return _theta_char_sum(ch)[1]

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 from .dh import dh_vector_field
-from .qseries import PiGradedQSeries, eisenstein_series, theta_q
+from .qseries import PiGradedQSeries, eisenstein_series
 
 
 EisensteinState = namedtuple("EisensteinState", "e2 e4 e6")
@@ -92,9 +92,9 @@ def ramanujan_series_residual(order: int):
     e4 = eisenstein_series(4, order)
     e6 = eisenstein_series(6, order)
     return (
-        theta_q(e2) - (e2 * e2 - e4) * Fraction(1, 12),
-        theta_q(e4) - (e2 * e4 - e6) * Fraction(1, 3),
-        theta_q(e6) - (e2 * e6 - e4 * e4) * Fraction(1, 2),
+        e2.x_ddx() - (e2 * e2 - e4) * Fraction(1, 12),
+        e4.x_ddx() - (e2 * e4 - e6) * Fraction(1, 3),
+        e6.x_ddx() - (e2 * e6 - e4 * e4) * Fraction(1, 2),
     )
 
 

@@ -183,7 +183,7 @@ def test_criterion_10_cross_checks(capsys):
     pairs = {2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}
     for tau in (1j, 2j, 0.3 + 1.1j):
         for which, (r, s) in pairs.items():
-            ch = qseries.ThetaCharacteristics(r, s, 0.0, tau)
+            ch = qseries.ThetaCharacteristics(r, s, tau)
             want = qseries.eval_series(qseries.theta_series(which, 200), tau)
             worst = max(worst, abs(qseries.theta_char_eval(ch) - want))
     with capsys.disabled():

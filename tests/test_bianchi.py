@@ -43,7 +43,6 @@ def test_sign_type():
     assert ANTI_SELF_DUAL.upper_lower == 1
     assert SELF_DUAL.lambdas == (2, 2, 2)
     assert ANTI_SELF_DUAL.lambdas == (-2, -2, -2)
-    assert SelfDualitySign.coerce(-1) == ANTI_SELF_DUAL
     with pytest.raises(ValueError):
         SelfDualitySign(0)
 
@@ -143,9 +142,9 @@ def test_c_profile_maps_to_classical_omega_flow():
     )
     h = 1e-4
     for r in (0.15, 0.3):
-        omega = omega_from_c([x.real for x in sol.at(r)]).omega
-        om_up = omega_from_c([x.real for x in sol.at(r + h)]).omega
-        om_dn = omega_from_c([x.real for x in sol.at(r - h)]).omega
+        omega = omega_from_c([x.real for x in sol.at(r)])
+        om_up = omega_from_c([x.real for x in sol.at(r + h)])
+        om_dn = omega_from_c([x.real for x in sol.at(r - h)])
         fd = [(u - d) / (2 * h) for u, d in zip(om_up, om_dn)]
         field = classical_dh_omega_field(omega, ANTI_SELF_DUAL)
         assert max(abs(a - b) for a, b in zip(fd, field)) < 1e-7
@@ -155,9 +154,9 @@ def test_c_profile_maps_to_classical_omega_flow():
 
 
 def test_omega_c_round_trip_examples():
-    assert omega_from_c((1.0, 1.0, 1.0)).omega == (2, 2, 2)
+    assert omega_from_c((1.0, 1.0, 1.0)) == (2, 2, 2)
     assert tuple(c_from_omega((2.0, 2.0, 2.0))) == (1, 1, 1)
-    assert omega_from_c((1.0, 2.0, 3.0)).omega == (12, 6, 4)
+    assert omega_from_c((1.0, 2.0, 3.0)) == (12, 6, 4)
     back = c_from_omega((12.0, 6.0, 4.0))
     assert tuple(back) == pytest.approx((1.0, 2.0, 3.0), rel=1e-14)
 
@@ -210,8 +209,6 @@ def test_coupled_field_degenerate_cases():
     domega, da = coupled_field(OmegaAState(omega=(1, 2, 3), a=(0, 0, 0)))
     assert domega == (-6, -3, -2)
     assert da == (0, 0, 0)
-    with pytest.raises(ValueError):
-        coupled_field(OmegaAState(omega=(1, 2, 3)))
 
 
 # -- theta solutions ---------------------------------------------------------------
@@ -355,7 +352,7 @@ def test_flat_family_pole():
 
 def test_flat_conformal_factor_linear_in_C():
     state = flat_family(1.0, 0.3)
-    f1 = flat_conformal_factor(state, 1.0, 0.3, 1.0)
+    f1 = flat_conformal_factor(state.omega, 1.0, 0.3, 1.0)
     f3 = flat_conformal_factor(state.omega, 1.0, 0.3, 3.0)
     assert f3 == pytest.approx(3 * f1)
     o1, o2, o3 = state.omega
@@ -394,7 +391,7 @@ def test_theta_prefactors_match_series_evals():
     # series evaluations at sigma = i.
     for which in (2, 3, 4):
         ch = {2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}[which]
-        got = theta_char_eval(ThetaCharacteristics(ch[0], ch[1], 0.0, 1j))
+        got = theta_char_eval(ThetaCharacteristics(ch[0], ch[1], 1j))
         want = eval_series(theta_series(which, 200), 1j)
         assert abs(got - want) < 1e-12
 

@@ -106,6 +106,7 @@ def test_negative_value_after_flag(capsys):
         ("bianchi flow --t0 1e-300 --t1 1 --initial 1,0.5,0.25", EXIT_USAGE),
         ("dh integrate --t0 0,1e-300 --t1 0,1", EXIT_USAGE),
         ("frobenius wdvv --tau 0,1 --x 1e100,0", EXIT_NUMERIC),  # overflow
+        ("frobenius wdvv --tau 0,1 --x 1e200,0", EXIT_NUMERIC),  # NaN third partials
         # results that are not finite: JSON (nan) and CSV (inf)
         ("bianchi verify-constraint --t 1 --omega 1e300,1e300,1e300", EXIT_NUMERIC),
         ("bianchi flat-family --q0 0.3 --C 1.7e308", EXIT_NUMERIC),

@@ -14,13 +14,13 @@ RECORDS = [
     dh.darboux_condition_residual((1, 2, 3)),
     bianchi.SELF_DUAL,
     bianchi.MetricCoeffs(1.0, 2.0, 3.0),
-    bianchi.OmegaAState(omega=(1, 2, 3)),
+    bianchi.OmegaAState(omega=(1, 2, 3), a=(4, 5, 6)),
     bianchi.TodHitchinParams(p=0.25, q=0.5),
     bianchi.connection_one_form((1.0, 2.0, 3.0), (0.1, 0.2, 0.3)),
     frobenius.PotentialJet(1, 2, 3, 4),
     frobenius.GammaJet(1, 2, 3, 4),
     gauss_manin.gm_matrix((1, 2, 3)),
-    qseries.ThetaCharacteristics(0, 0, 0, 1j),
+    qseries.ThetaCharacteristics(0, 0, 1j),
     ramanujan.EisensteinState(1, 2, 3),
     ramanujan.MapConstants.numeric(),
     rk._Step(0.0, 0.1, [1j], ()),
@@ -38,8 +38,7 @@ def test_records_are_immutable_tuples(record):
 
 
 def test_records_coerce_and_default():
-    assert all(type(v) is complex for v in qseries.ThetaCharacteristics(0, 1, 0.5, 1j))
-    assert bianchi.OmegaAState((1, 2, 3)).a is None
+    assert all(type(v) is complex for v in qseries.ThetaCharacteristics(0, 1, 1j))
     assert bianchi.TodHitchinParams(0.25, 0.5)[2:] == (1.0, 0.0)
 
 

@@ -1,14 +1,39 @@
-"""The layout of the theta code, checked on the source: qseries.theta_log_jets
-is the one numeric front door to theta2-theta4, and no halphen module reaches
-into another's private names."""
+"""The layout of the library, checked on the source: qseries.theta_log_jets
+is the one numeric front door to theta2-theta4, no halphen module reaches
+into another's private names, a parameter takes one type rather than a
+record or its tuple, and every exported name has a consumer."""
 
 import ast
+import importlib
 import pathlib
 
 import halphen
 
 SRC = pathlib.Path(halphen.__file__).parent
 MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+# Exported names with no consumer in the library or the benchmark, each
+# with the ROADMAP open item that keeps it
+UNCONSUMED_EXPORTS = {
+    ("bianchi", name): "item 2: Bianchi IX content awaiting a CLI consumer (items 4 and 5)"
+    for name in (
+        "SELF_DUAL",
+        "ANTI_SELF_DUAL",
+        "connection_one_form",
+        "sd_reduced_residual",
+        "omega_from_c",
+        "c_from_omega",
+        "classical_dh_omega_field",
+        "coupled_field",
+        "tod_hitchin_omega1",
+        "constraint_residual",
+        "lambda_conformal_factor",
+    )
+}
+UNCONSUMED_EXPORTS[("qseries", "theta_eval_tail_bound")] = "item 6: first caller, or deleted"
+UNCONSUMED_EXPORTS[("frobenius", "structure_constants")] = "item 2: the WDVV algebra's table"
+UNCONSUMED_EXPORTS[("frobenius", "associativity_residual")] = "item 2: the WDVV algebra's table"
 
 
 def is_private(name):
@@ -108,3 +133,82 @@ def test_nome_prefactor_offset_and_refusal_appear_once():
 def test_theta_solution_series_takes_no_log():
     assert ("dh", "dh_theta_solution_series") in functions_where(reads("log_derivative"))
     assert functions_where(reads("log_unit")) == set()
+
+
+def loaded_names(tree, skip=None):
+    """Names a tree reads (Name or Attribute loads), leaving out the body
+    of the top-level def or class named skip."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.attr)
+    return out
+
+
+def exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def record_types():
+    """Names of the halphen records: tuple classes with _fields."""
+    names = set()
+    for module in MODULES:
+        for value in vars(importlib.import_module("halphen." + module)).values():
+            if (
+                isinstance(value, type)
+                and issubclass(value, tuple)
+                and hasattr(value, "_fields")
+                and value.__module__.startswith("halphen.")
+            ):
+                names.add(value.__name__)
+    return names
+
+
+def test_no_function_tests_for_a_record_type():
+    # a parameter takes the record or its plain tuple, never either
+    records = record_types()
+    assert {"OmegaAState", "MetricCoeffs", "SelfDualitySign", "ThetaCharacteristics"} <= records
+
+    def isinstance_of_record(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            return False
+        return any(
+            (isinstance(sub, ast.Name) and sub.id in records)
+            or (isinstance(sub, ast.Attribute) and sub.attr in records)
+            for sub in ast.walk(node.args[1])
+        )
+
+    assert functions_where(isinstance_of_record) == set()
+
+
+def test_every_export_has_a_consumer():
+    # a consumer is another halphen module, another function of the same
+    # module, or the benchmark, which may name it as a string to patch it
+    bench = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                bench.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                bench.add(node.attr)
+            elif isinstance(node, ast.alias):
+                bench.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                bench.add(node.value)
+    unconsumed = set()
+    for module, tree in MODULES.items():
+        for name in exports(tree):
+            used = name in bench or name in loaded_names(tree, skip=name) or any(
+                name in loaded_names(other) for m, other in MODULES.items() if m != module
+            )
+            if not used:
+                unconsumed.add((module, name))
+    assert unconsumed == set(UNCONSUMED_EXPORTS)

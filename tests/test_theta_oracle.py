@@ -11,7 +11,8 @@ enters the oracle:
 
 Re tau stays in [-1/2, 1/2], where the principal q**(1/4) that mpmath takes
 for theta2 is exp(pi*i*tau/4), and Im tau in [0.3, 3], where 40 digits
-leave no cancellation in the oracle's own sums.
+leave no cancellation in the oracle's own sums; one test takes Re tau up
+to 2**60 at 60 digits, on values free of that root.
 
 The kernel's sums are also checked bit for bit against parity_theta_jets,
 the kernel's earlier form with one n a pass, and against two more terms.
@@ -129,6 +130,27 @@ def test_closed_form_and_its_jet_match_oracle(tau):
         size_t, size_rate = oracle_addends(k, tau)
         assert err(got_t, want_t) <= bound * 2 * math.pi * size_t, k
         assert err(got_rate, want_rate) <= 2 * bound * 2 * math.pi**2 * size_rate, k
+
+
+@pytest.mark.parametrize(
+    "tau", [complex(1e6 + 0.3, 1), complex(1e12 + 0.3, 1), complex(1e15 + 0.5, 1), complex(2**60, 1)]
+)
+def test_closed_form_and_theta_series_at_large_re_tau_match_oracle(tau):
+    # mpmath forms the nome from the float tau itself; 60 digits leave ~40
+    # after its phase pi*Re(tau) (up to 3.6e18), and 120 give the same
+    # oracle.  t = 2 theta'/theta = -(pi*i/2) theta_zz/theta is free of the
+    # branch mpmath takes for theta2's q**(1/4); the theta3 and theta4
+    # series carry no such root
+    bound = 8 * EPS * (1 + math.pi * tau.imag)
+    with mpmath.workdps(60):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        for k, got in zip((2, 3, 4), dh.dh_theta_solution(tau)):
+            want = -(1j * mpmath.pi / 2) * mpmath.jtheta(k, 0, q, 2) / mpmath.jtheta(k, 0, q)
+            assert err(got, want) <= bound * float(abs(want)), k
+        for k in (3, 4):
+            want = mpmath.jtheta(k, 0, q)
+            got = qseries.eval_series(qseries.theta_series(k, 400), tau)
+            assert err(got, want) <= bound * float(abs(want)), k
 
 
 @settings(max_examples=100, deadline=None)
