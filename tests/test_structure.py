@@ -203,11 +203,12 @@ def test_every_export_has_a_consumer():
                 bench.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 bench.add(node.value)
+    reads_of = {module: loaded_names(tree) for module, tree in MODULES.items()}
     unconsumed = set()
     for module, tree in MODULES.items():
         for name in exports(tree):
             used = name in bench or name in loaded_names(tree, skip=name) or any(
-                name in loaded_names(other) for m, other in MODULES.items() if m != module
+                name in names for m, names in reads_of.items() if m != module
             )
             if not used:
                 unconsumed.add((module, name))
