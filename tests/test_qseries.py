@@ -397,16 +397,22 @@ def test_characteristics_dz_odd_symmetry():
     assert abs(theta_char_dz(ch)) < 1e-15
 
 
+def test_characteristics_dz_matches_finite_difference():
+    # z enters the sum only through z + s: the point s = 0.3, z = 0.2 is s = 0.5
+    s, z, h = 0.3, 0.2, 1e-6
+    ch = ThetaCharacteristics(r=0.25 + 0.1j, s=s + z, sigma=1.3j)
+    up = theta_char_eval(ThetaCharacteristics(ch.r, s + (z + h), ch.sigma))
+    dn = theta_char_eval(ThetaCharacteristics(ch.r, s + (z - h), ch.sigma))
+    assert abs(theta_char_dz(ch) - (up - dn) / (2 * h)) < 1e-7
+
+
 def test_characteristics_dz_equals_ds():
     # z enters the sum only through z + s, so d/ds is also d/dz at z = 0
-    for ch in (
-        ThetaCharacteristics(r=0.2, s=0.5, sigma=1.2j),
-        ThetaCharacteristics(r=0.25 + 0.1j, s=0.5, sigma=1.3j),
-    ):
-        h = 1e-6
-        up = theta_char_eval(ThetaCharacteristics(ch.r, ch.s + h, ch.sigma))
-        dn = theta_char_eval(ThetaCharacteristics(ch.r, ch.s - h, ch.sigma))
-        assert abs(theta_char_dz(ch) - (up - dn) / (2 * h)) < 1e-7
+    ch = ThetaCharacteristics(r=0.2, s=0.5, sigma=1.2j)
+    h = 1e-6
+    up = theta_char_eval(ThetaCharacteristics(ch.r, ch.s + h, ch.sigma))
+    dn = theta_char_eval(ThetaCharacteristics(ch.r, ch.s - h, ch.sigma))
+    assert abs(theta_char_dz(ch) - (up - dn) / (2 * h)) < 1e-7
 
 
 def test_characteristics_require_upper_half_plane():
