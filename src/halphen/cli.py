@@ -201,7 +201,7 @@ def cmd_verify_ramanujan(args):
     series_ok = all(r.is_zero() for r in residuals)
 
     rng = random.Random(args.seed)
-    surrogate = ramanujan.MapConstants.with_scale(Fraction(7, 3))
+    surrogate = Fraction(7, 3)  # a rational scale standing in for 2*pi*i
     samples = []
     exact_ok = True
     for _ in range(args.samples):
@@ -362,8 +362,7 @@ def cmd_bianchi_verify_constraint(args):
 
 def cmd_frobenius_wdvv(args):
     jet = frobenius.modular_example_jet(args.x, frobenius.chazy_gamma_jet(args.tau))
-    c, eta = frobenius.potential_third_partials(jet)
-    residual = frobenius.wdvv_residual_3d(c, eta)
+    residual = frobenius.wdvv_residual_3d(frobenius.potential_third_partials(jet))
     results = {"wdvv_residual": residual, "x": args.x}
     return results, residual < args.tol, None
 

@@ -149,14 +149,8 @@ def dh_theta_solution_series(order: int):
 
 
 def dh_series_ode_residuals(order: int):
-    """Residuals (1/4) w dT_i/dw - [T_i(T_j+T_k) - T_j T_k] as grading-zero
+    """Residuals (1/4) w dT_i/dw - dh_vector_field(T)_i as grading-zero
     exact series; all three vanish identically."""
     series = [s.with_pi_power(0) for s in dh_theta_solution_series(order)]
     quarter = Fraction(1, 4)
-    residuals = []
-    for i in range(3):
-        ti = series[i]
-        tj = series[(i + 1) % 3]
-        tk = series[(i + 2) % 3]
-        residuals.append(ti.x_ddx() * quarter - (ti * (tj + tk) - tj * tk))
-    return tuple(residuals)
+    return tuple(t.x_ddx() * quarter - v for t, v in zip(series, dh_vector_field(series)))

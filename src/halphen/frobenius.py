@@ -7,7 +7,10 @@ multiplication in the flat basis (e1, e2, e3) = (d/du, d/dx, d/dy) is
     e2 e3  = f_xyy e1 + f_xxy e2
     e3^2   = f_yyy e1 + f_xyy e2
 
-with e1 the unity, and associativity collapses to the single PDE
+with e1 the unity.  The metric eta_bg = F_ubg is the constant
+antidiagonal matrix (eta_bg = 1 where b + g = 2), its own inverse, so the
+WDVV contraction needs no metric argument.  Associativity collapses to the
+single PDE
 
     f_xxy^2 = f_yyy + f_xxx f_xyy.
 
@@ -85,9 +88,9 @@ def associativity_residual(jet: PotentialJet):
 
 
 def potential_third_partials(jet: PotentialJet):
-    """Full symmetric third-derivative tensor c[a][b][g] and metric
-    eta[b][g] of the potential F = (1/2) u^2 y + (1/2) u x^2 + f(x, y), as
-    nested lists."""
+    """Full symmetric third-derivative tensor c[a][b][g] of the potential
+    F = (1/2) u^2 y + (1/2) u x^2 + f(x, y), as nested lists.  Its metric
+    eta[b][g] = c[0][b][g] is the constant antidiagonal matrix."""
     c = [[[0j] * 3 for _ in range(3)] for _ in range(3)]
     for idx, value in (
         ((0, 0, 2), 1.0),  # F_uuy
@@ -99,47 +102,21 @@ def potential_third_partials(jet: PotentialJet):
     ):
         for a, b, g in set(permutations(idx)):
             c[a][b][g] = complex(value)
-    eta = [list(row) for row in c[0]]  # eta_bg = F_{u b g}: the antidiagonal pattern
-    return c, eta
+    return c
 
 
-def _inverse_3x3(m):
-    """Inverse of a 3x3 matrix from its adjugate."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    adj = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
-    if det == 0:
-        raise ValueError("eta is singular")
-    return [[v / det for v in row] for row in adj]
-
-
-def wdvv_residual_3d(third_partials, eta) -> float:
+def wdvv_residual_3d(third_partials) -> float:
     """Max-abs associativity defect c_abl eta^lm c_mgd - c_dbl eta^lm c_mga
-    over all index tuples (a, b, g, d).  Third partials that are not
-    finite raise OverflowError, since max() would skip a NaN defect.
-
-    eta must be nonsingular and symmetric to within |eta_ij - eta_ji| <=
-    1e-8 + 1e-5 |eta_ji| (numpy's allclose rule)."""
+    over all index tuples (a, b, g, d); eta^lm is 1 where l + m = 2 (see the
+    module docstring).  Third partials that are not finite raise
+    OverflowError, since max() would skip a NaN defect."""
     c = [[[complex(v) for v in row] for row in plane] for plane in third_partials]
     if not all(cmath.isfinite(v) for plane in c for row in plane for v in row):
         raise OverflowError("the third partials are not finite")
-    eta = [[complex(v) for v in row] for row in eta]
-    if len(eta) != 3 or any(len(row) != 3 for row in eta) or any(
-        abs(eta[i][j] - eta[j][i]) > 1e-8 + 1e-5 * abs(eta[j][i])
-        for i in range(3) for j in range(3)
-    ):
-        raise ValueError("eta must be a symmetric 3x3 matrix")
-    eta_inv = _inverse_3x3(eta)
     left = {}
     for a, b, g, d in product(range(3), repeat=4):
-        total = 0j
-        for l, m in product(range(3), repeat=2):
-            total += c[a][b][l] * eta_inv[l][m] * c[m][g][d]
-        left[a, b, g, d] = total
+        ab = c[a][b]
+        left[a, b, g, d] = ab[0] * c[2][g][d] + ab[1] * c[1][g][d] + ab[2] * c[0][g][d]
     return max(abs(v - left[d, b, g, a]) for (a, b, g, d), v in left.items())
 
 
@@ -154,18 +131,17 @@ def chazy_residual(g: GammaJet):
 def chazy_e2_exact(order: int):
     """Exact q-series residual of the Chazy equation on gamma = (pi*i/3) E2.
 
-    Substituting gamma = (pi*i/3) g with d/dtau = 2*pi*i q d/dq and clearing
-    the common (pi*i)^4 (3/8) factor leaves the rational identity
-
-        2 Tq^3 g = 2 g Tq^2 g - 3 (Tq g)^2,      Tq = q d/dq,
-
-    whose residual series (grading zero) is returned; identically zero.
+    With d/dtau = S q d/dq, S = 2*pi*i, the jet of gamma is
+    (S/6) (E2, S D E2, S^2 D^2 E2, S^3 D^3 E2), D = q d/dq, and
+    chazy_residual of it is homogeneous of degree 4 in S.  So the rational
+    6 stands in for S: chazy_residual of the integral jet
+    (E2, 6 D E2, 36 D^2 E2, 216 D^3 E2) is returned, a grading-zero series
+    that is identically zero.
     """
     g = eisenstein_series(2, order)
     g1 = g.x_ddx()
     g2 = g1.x_ddx()
-    g3 = g2.x_ddx()
-    return 2 * g3 - (2 * g * g2 - 3 * g1 * g1)
+    return chazy_residual(GammaJet(g, 6 * g1, 36 * g2, 216 * g2.x_ddx()))
 
 
 def chazy_gamma_jet(tau) -> GammaJet:

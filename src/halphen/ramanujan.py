@@ -10,10 +10,10 @@ and matching coefficients in
 
     4(x - t1)(x - t2)(x - t3) = 4(x - a1 E2)^3 - a2 E4 (x - a1 E2) - a3 E6,
 
-    (a1, a2, a3) = (2*pi*i/12, 12 a1^2, 8 a1^3),
+    (a1, a2, a3) = (S/12, 12 a1^2, 8 a1^3),     S = 2*pi*i,
 
 defines a polynomial map conjugating the Darboux-Halphen field to this
-flow (with q d/dq = d/dtau / (2*pi*i)).
+flow (with q d/dq = d/dtau / S).
 
 The matching is triangular: E2 comes from the x^2 coefficient, then E4
 from x^1, then E6 from x^0:
@@ -24,10 +24,13 @@ from x^1, then E6 from x^0:
 
 with e1, e2, e3 the elementary symmetric functions of (t1, t2, t3).
 
-Every component of the conjugacy residual is homogeneous in the scale
-constant pi*i (grade -1, -2, -3 respectively), so the conjugacy is an
-identity in that constant: replacing pi*i by any nonzero rational turns
-it into a pure rational identity, which is how the exact checks run.
+The map, its Jacobian and the conjugacy residual take the scale S as a
+parameter, defaulting to 2*pi*i.  Every component of the conjugacy
+residual is homogeneous in S (grade -1, -2, -3 respectively), so the
+conjugacy is an identity in S: any nonzero rational S turns it into a
+pure rational identity, which is how the exact checks run.  The series
+residual of the flow applies ramanujan_vector_field itself to the
+Eisenstein series.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from .dh import dh_vector_field
+from .qseries import eisenstein_series
+
 __all__ = [
     "EisensteinState",
-    "MapConstants",
     "ramanujan_vector_field",
     "ramanujan_series_residual",
     "dh_to_eisenstein",
@@ -46,37 +51,13 @@ __all__ = [
     "conjugacy_residual",
 ]
 
-from .dh import dh_vector_field
-from .qseries import PiGradedQSeries, eisenstein_series
-
-
 EisensteinState = namedtuple("EisensteinState", "e2 e4 e6")
-
-
-class MapConstants(namedtuple("MapConstants", "a1 a2 a3")):
-    """The matching constants (a1, a2, a3) = (S/6, 12 a1^2, 8 a1^3) for a
-    scale S.  Numerically S = 2*pi*i; the exact identity checks pass a
-    nonzero rational surrogate instead (see module docstring)."""
-
-    __slots__ = ()
-
-    @classmethod
-    def with_scale(cls, two_pi_i) -> "MapConstants":
-        a1 = two_pi_i / 12
-        return cls(a1, 12 * a1 * a1, 8 * a1 * a1 * a1)
-
-    @classmethod
-    def numeric(cls) -> "MapConstants":
-        return cls.with_scale(2j * math.pi)
-
-    @property
-    def two_pi_i(self):
-        return 12 * self.a1
 
 
 def ramanujan_vector_field(state):
     """(q dE2/dq, q dE4/dq, q dE6/dq).  Fraction coefficients keep rational
-    states exact and fall back to complex arithmetic otherwise."""
+    states and exact series exact and fall back to complex arithmetic
+    otherwise."""
     e2, e4, e6 = state
     return (
         (e2 * e2 - e4) * Fraction(1, 12),
@@ -86,16 +67,10 @@ def ramanujan_vector_field(state):
 
 
 def ramanujan_series_residual(order: int):
-    """Exact q-series residuals of the three flow equations; every
-    coefficient up to the requested order is exactly zero."""
-    e2 = eisenstein_series(2, order)
-    e4 = eisenstein_series(4, order)
-    e6 = eisenstein_series(6, order)
-    return (
-        e2.x_ddx() - (e2 * e2 - e4) * Fraction(1, 12),
-        e4.x_ddx() - (e2 * e4 - e6) * Fraction(1, 3),
-        e6.x_ddx() - (e2 * e6 - e4 * e4) * Fraction(1, 2),
-    )
+    """Exact q-series residuals q dE/dq - ramanujan_vector_field(E) of the
+    three flow equations; every coefficient up to the order is zero."""
+    es = [eisenstein_series(k, order) for k in (2, 4, 6)]
+    return tuple(e.x_ddx() - r for e, r in zip(es, ramanujan_vector_field(es)))
 
 
 def _symmetric_functions(state):
@@ -103,50 +78,45 @@ def _symmetric_functions(state):
     return t1 + t2 + t3, t1 * t2 + t1 * t3 + t2 * t3, t1 * t2 * t3
 
 
-def dh_to_eisenstein(state, constants: MapConstants | None = None) -> EisensteinState:
-    """Triangular solve of the cubic matching (see module docstring)."""
-    c = constants or MapConstants.numeric()
+def dh_to_eisenstein(state, scale=2j * math.pi) -> EisensteinState:
+    """Triangular solve of the cubic matching with a1 = scale/12 (see module
+    docstring)."""
+    a1 = scale / 12
     e1, e2s, e3s = _symmetric_functions(state)
-    ee2 = e1 / (3 * c.a1)
-    ee4 = ee2 * ee2 - e2s / (3 * c.a1 * c.a1)
-    ee6 = (3 * ee2 * ee4 - ee2 * ee2 * ee2) * Fraction(1, 2) + e3s / (
-        2 * c.a1 * c.a1 * c.a1
-    )
+    ee2 = e1 / (3 * a1)
+    ee4 = ee2 * ee2 - e2s / (3 * a1 * a1)
+    ee6 = (3 * ee2 * ee4 - ee2 * ee2 * ee2) * Fraction(1, 2) + e3s / (2 * a1 * a1 * a1)
     return EisensteinState(ee2, ee4, ee6)
 
 
-def dh_to_eisenstein_jacobian(state, constants: MapConstants | None = None):
+def dh_to_eisenstein_jacobian(state, scale=2j * math.pi):
     """Analytic Jacobian rows (dE2/dt_i, dE4/dt_i, dE6/dt_i) of the
     triangular solve; differentiated from the closed formulas, not by
     finite differences."""
-    c = constants or MapConstants.numeric()
+    a1 = scale / 12
     t1, t2, t3 = state
     e1 = t1 + t2 + t3
-    es = dh_to_eisenstein(state, c)
-    d_e2 = 1 / (3 * c.a1)
+    es = dh_to_eisenstein(state, scale)
+    d_e2 = 1 / (3 * a1)
     row2 = (d_e2, d_e2, d_e2)
-    row4 = tuple(
-        2 * es.e2 * d_e2 - (e1 - t) / (3 * c.a1 * c.a1) for t in (t1, t2, t3)
-    )
+    row4 = tuple(2 * es.e2 * d_e2 - (e1 - t) / (3 * a1 * a1) for t in (t1, t2, t3))
     opposite = (t2 * t3, t1 * t3, t1 * t2)
     row6 = tuple(
-        ((es.e4 - es.e2 * es.e2) / c.a1 + 3 * es.e2 * d4) * Fraction(1, 2)
-        + opp / (2 * c.a1 * c.a1 * c.a1)
+        ((es.e4 - es.e2 * es.e2) / a1 + 3 * es.e2 * d4) * Fraction(1, 2)
+        + opp / (2 * a1 * a1 * a1)
         for d4, opp in zip(row4, opposite)
     )
     return (row2, row4, row6)
 
 
-def conjugacy_residual(state, constants: MapConstants | None = None):
-    """J(t) . F_dh(t) - 2*pi*i . F_ram(map(t)); identically zero.
+def conjugacy_residual(state, scale=2j * math.pi):
+    """J(t) . F_dh(t) - scale . F_ram(map(t)); identically zero.
 
-    The 2*pi*i factor (12 a1 exactly) converts d/dtau to q d/dq.  With
-    rational state and surrogate constants the result is exactly zero.
+    The factor scale = 2*pi*i converts d/dtau to q d/dq.  With a rational
+    state and a rational scale the result is exactly zero.
     """
-    c = constants or MapConstants.numeric()
     v = dh_vector_field(state)
-    jac = dh_to_eisenstein_jacobian(state, c)
+    jac = dh_to_eisenstein_jacobian(state, scale)
     pushed = tuple(sum(j * vi for j, vi in zip(row, v)) for row in jac)
-    ram = ramanujan_vector_field(dh_to_eisenstein(state, c))
-    scale = c.two_pi_i
+    ram = ramanujan_vector_field(dh_to_eisenstein(state, scale))
     return tuple(p - scale * r for p, r in zip(pushed, ram))

@@ -322,7 +322,10 @@ def _error_norm(e5, e3, h, scale):
         return 0.0, 0.0
     denom = n5 + 0.01 * n3
     err = abs(h) * n5 / math.sqrt(len(scale) * denom)
-    raw = math.sqrt(sum(abs(a) ** 2 for a in e5) / len(e5))
+    total = 0.0  # left to right: Python 3.12's float sum() compensates
+    for a in e5:
+        total += abs(a) ** 2
+    raw = math.sqrt(total / len(e5))
     return err, abs(h) * math.sqrt(n5 / denom) * raw
 
 

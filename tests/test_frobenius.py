@@ -84,31 +84,23 @@ def test_associativity_residual_is_table_associativity_defect():
 
 def test_potential_third_partials_symmetry_and_eta():
     jet = PotentialJet(1.5, -2.0, 0.25, 3.0)
-    c, eta = potential_third_partials(jet)
+    c = potential_third_partials(jet)
     for a, b, g in np.ndindex(3, 3, 3):
         s = sorted((a, b, g))
         assert c[a][b][g] == c[s[0]][s[1]][s[2]]
-    assert np.array_equal(eta, np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+    # the metric eta_bg = F_ubg is the fixed antidiagonal one
+    assert np.array_equal(c[0], np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
 
 
 def test_wdvv_cubic_potential_is_flat():
-    c, eta = potential_third_partials(ZERO_JET)
-    assert wdvv_residual_3d(c, eta) == 0
+    assert wdvv_residual_3d(potential_third_partials(ZERO_JET)) == 0
 
 
 def test_wdvv_matches_associativity_residual():
     for x, y in ((0.5, 1.5), (1.0, -0.7)):
         jet = PotentialJet(0, 4 * y, 4 * x, 0)  # f = x^2 y^2
-        c, eta = potential_third_partials(jet)
-        assert wdvv_residual_3d(c, eta) == pytest.approx(abs(associativity_residual(jet)))
-
-
-def test_wdvv_rejects_bad_eta():
-    c, _ = potential_third_partials(ZERO_JET)
-    with pytest.raises(ValueError):
-        wdvv_residual_3d(c, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        wdvv_residual_3d(c, np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+        c = potential_third_partials(jet)
+        assert wdvv_residual_3d(c) == pytest.approx(abs(associativity_residual(jet)))
 
 
 # -- Chazy ------------------------------------------------------------------------
@@ -172,8 +164,7 @@ def test_modular_example_reduces_to_chazy():
 @pytest.mark.parametrize("tau", [1j, 1.3j])
 def test_wdvv_vanishes_on_chazy_solution(tau):
     jet = modular_example_jet(0.8 + 0.3j, chazy_gamma_jet(tau))
-    c, eta = potential_third_partials(jet)
-    assert wdvv_residual_3d(c, eta) < 1e-8
+    assert wdvv_residual_3d(potential_third_partials(jet)) < 1e-8
 
 
 # -- the cubic ---------------------------------------------------------------------

@@ -10,7 +10,6 @@ from halphen.dh import dh_theta_solution, dh_vector_field
 from halphen.qseries import eisenstein_series, eval_series
 from halphen.ramanujan import (
     EisensteinState,
-    MapConstants,
     conjugacy_residual,
     dh_to_eisenstein,
     dh_to_eisenstein_jacobian,
@@ -19,16 +18,18 @@ from halphen.ramanujan import (
 )
 from halphen.sampling import random_state
 
-SURROGATE = MapConstants.with_scale(Fraction(7, 3))  # stands in for 2*pi*i
+SURROGATE = Fraction(7, 3)  # a rational scale standing in for 2*pi*i
 
 
 def test_map_constants_relations():
-    for c in (MapConstants.numeric(), SURROGATE):
-        assert c.a2 == 12 * c.a1**2
-        assert c.a3 == 8 * c.a1**3
-    n = MapConstants.numeric()
-    assert abs(n.a1 - 2j * math.pi / 12) < 1e-16
-    assert abs(n.two_pi_i - 2j * math.pi) < 1e-15
+    # the map solves the matching whose (a1, a2, a3) = (S/12, 12 a1^2, 8 a1^3)
+    # the oracle forms from the scale S: exactly for a rational S
+    rng = random.Random(3)
+    for _ in range(20):
+        state = random_state(rng)
+        assert matching_defect(state, dh_to_eisenstein(state, SURROGATE), SURROGATE) == 0
+    # the residual's factor is the scale itself: 12 a1 is 2*pi*i bit for bit
+    assert 12 * (2j * math.pi / 12) == 2j * math.pi
 
 
 def test_vector_field_fixed_points_and_substitution():
@@ -69,22 +70,25 @@ def test_map_fixture_1_2_3():
     assert abs(es.e6) < 1e-14
 
 
-def matching_defect(state, es, c):
-    """Oracle: expand both sides of the cubic matching and compare."""
-    lhs = 4 * np.poly(list(state))
-    shift = np.array([1, -c.a1 * es.e2])
+def matching_defect(state, es, scale):
+    """Oracle: expand both sides of the cubic matching with the constants
+    (a1, a2, a3) = (S/12, 12 a1^2, 8 a1^3) of the scale S and compare;
+    exact for rational states and scales."""
+    a1 = scale / 12
+    a2, a3 = 12 * a1**2, 8 * a1**3
+    lhs = 4 * np.poly(np.array(state, dtype=object))
+    shift = np.array([1, -a1 * es.e2], dtype=object)
     rhs = 4 * np.polymul(np.polymul(shift, shift), shift)
-    rhs = np.polysub(rhs, np.polymul([c.a2 * es.e4], shift))
-    rhs = np.polysub(rhs, [0, 0, 0, c.a3 * es.e6])
-    return float(np.max(np.abs(np.polysub(lhs, rhs))))
+    rhs = np.polysub(rhs, np.polymul([a2 * es.e4], shift))
+    rhs = np.polysub(rhs, [0, 0, 0, a3 * es.e6])
+    return max(abs(d) for d in np.polysub(lhs, rhs))
 
 
 def test_map_satisfies_cubic_matching():
     rng = random.Random(5)
-    c = MapConstants.numeric()
     for _ in range(20):
         state = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
-        assert matching_defect(state, dh_to_eisenstein(state, c), c) < 1e-12
+        assert matching_defect(state, dh_to_eisenstein(state), 2j * math.pi) < 1e-12
 
 
 def test_map_permutation_invariance():
@@ -97,17 +101,16 @@ def test_map_permutation_invariance():
 
 
 def test_jacobian_matches_finite_differences():
-    c = MapConstants.numeric()
     state = (0.7 + 0.2j, -0.4 + 1.1j, 1.3 - 0.5j)
-    jac = dh_to_eisenstein_jacobian(state, c)
+    jac = dh_to_eisenstein_jacobian(state)
     h = 1e-6
     for i in range(3):
         bumped_up = list(state)
         bumped_dn = list(state)
         bumped_up[i] += h
         bumped_dn[i] -= h
-        up = dh_to_eisenstein(tuple(bumped_up), c)
-        dn = dh_to_eisenstein(tuple(bumped_dn), c)
+        up = dh_to_eisenstein(tuple(bumped_up))
+        dn = dh_to_eisenstein(tuple(bumped_dn))
         for row, u, d in zip(jac, up, dn):
             assert abs(row[i] - (u - d) / (2 * h)) < 1e-6
 
@@ -130,9 +133,8 @@ def test_conjugacy_residual_scale_independent():
     # the identity holds for every nonzero scale, not just the surrogate
     rng = random.Random(29)
     for scale in (Fraction(1), Fraction(-5, 2), Fraction(355, 113)):
-        constants = MapConstants.with_scale(scale)
         for _ in range(10):
-            assert conjugacy_residual(random_state(rng), constants) == (0, 0, 0)
+            assert conjugacy_residual(random_state(rng), scale) == (0, 0, 0)
 
 
 def test_conjugacy_residual_numeric_along_theta_solution():

@@ -22,7 +22,6 @@ RECORDS = [
     gauss_manin.gm_matrix((1, 2, 3)),
     qseries.ThetaCharacteristics(0, 0, 1j),
     ramanujan.EisensteinState(1, 2, 3),
-    ramanujan.MapConstants.numeric(),
     rk._Step(0.0, 0.1, [1j], ()),
 ]
 
