@@ -60,90 +60,67 @@ def positive_int(text: str) -> int:
     return value
 
 
-def nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
 # Largest --order a command accepts.  Series memory and time grow with the
 # order: eisenstein at 100000 takes about 2 s and 100 MiB.
 MAX_ORDER = 100_000
 
 
 def series_order(text: str) -> int:
-    value = nonneg_int(text)
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
     if value > MAX_ORDER:
         raise argparse.ArgumentTypeError("order %d exceeds the maximum %d" % (value, MAX_ORDER))
     return value
 
 
-def parse_complex(text: str) -> complex:
-    """'RE,IM' or a bare real part."""
+def _finite_floats(text: str, counts, expected: str) -> list:
+    """The floats of a comma-separated list whose length is in counts."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(finite_float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(finite_float(parts[0]), finite_float(parts[1]))
+        if len(parts) in counts:
+            return [finite_float(p) for p in parts]
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError("expected finite RE,IM (got %r)" % text)
+    raise argparse.ArgumentTypeError("expected %s (got %r)" % (expected, text))
+
+
+def parse_complex(text: str) -> complex:
+    """'RE,IM' or a bare real part."""
+    return complex(*_finite_floats(text, (1, 2), "finite RE,IM"))
 
 
 def parse_triple(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated values")
-    try:
-        return tuple(finite_float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected three finite numbers (got %r)" % text)
+    return tuple(_finite_floats(text, (3,), "three finite numbers"))
 
 
 def parse_state(text: str):
     """Three complex components as six comma-separated floats."""
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError("expected six comma-separated floats")
-    try:
-        vals = [finite_float(p) for p in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected finite numbers (got %r)" % text)
-    return tuple(complex(vals[2 * i], vals[2 * i + 1]) for i in range(3))
+    v = _finite_floats(text, (6,), "six finite numbers")
+    return tuple(complex(v[i], v[i + 1]) for i in range(0, 6, 2))
 
 
-def jsonable(x):
-    """Deterministic JSON encoding: complex -> [re, im], Fraction -> 'p/q'."""
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
+def _json_default(x):
+    """The JSON form of the report values json has none for: a complex number
+    is [re, im] and a Fraction 'p/q'."""
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, dict):
-        return {k: jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    return x
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
-_INTERNAL_ARGS = ("handler", "out", "format", "fmt_default", "command_name", "group", "command")
+_INTERNAL_ARGS = ("handler", "out", "format", "group", "command")
 
 
 def make_report(args, results: dict, ok: bool) -> dict:
     """The JSON report of one command: its name, the library version, every
     user-facing argument, the results, the verdict and, for commands taking
     --tol, the tolerance."""
-    config = {
-        k: jsonable(v)
-        for k, v in sorted(vars(args).items())
-        if k not in _INTERNAL_ARGS and v is not None
-    }
+    config = {k: v for k, v in vars(args).items() if k not in _INTERNAL_ARGS and v is not None}
     report = {
-        "command": args.command_name,
+        "command": "%s %s" % (args.group, args.command),
         "version": __version__,
         "config": config,
-        "results": jsonable(results),
+        "results": results,
         "ok": bool(ok),
     }
     tolerance = getattr(args, "tol", None)
@@ -153,8 +130,8 @@ def make_report(args, results: dict, ok: bool) -> dict:
 
 
 # Every handler returns (results, ok, columns): the results object of the JSON
-# report, the verdict, and the named columns of the CSV form (None for
-# commands without one; see render_csv).
+# report, the verdict, and the named columns of the CSV form (None for the
+# commands whose --format offers only json; see render_csv).
 
 # -- dh ---------------------------------------------------------------------------
 
@@ -165,9 +142,9 @@ def cmd_dh_integrate(args):
                            max_step=args.max_step or math.inf)
     columns = [("tau", traj.ts), ("t", traj.states), ("err_est", traj.err_ests)]
     results = {
-        "initial": list(initial),
+        "initial": initial,
         "steps": len(traj) - 1,
-        "endpoint": {"tau": traj.ts[-1], "state": list(traj.states[-1])},
+        "endpoint": {"tau": traj.ts[-1], "state": traj.states[-1]},
         "max_err_est": max(traj.err_ests),
     }
     return results, True, columns
@@ -176,7 +153,7 @@ def cmd_dh_integrate(args):
 def cmd_dh_theta(args):
     state, rate = dh.dh_theta_jet(args.tau)
     residual = max(abs(a - b) for a, b in zip(rate, dh.dh_vector_field(state)))
-    results = {"state": list(state), "ode_residual": residual}
+    results = {"state": state, "ode_residual": residual}
     return results, residual < args.tol, None
 
 
@@ -195,6 +172,8 @@ def cmd_series_theta(args):
 
 # -- verify -----------------------------------------------------------------------
 
+# The randomized checks test every sample; their reports list the first three.
+
 
 def cmd_verify_ramanujan(args):
     residuals = ramanujan.ramanujan_series_residual(args.order)
@@ -204,17 +183,13 @@ def cmd_verify_ramanujan(args):
     surrogate = Fraction(7, 3)  # a rational scale standing in for 2*pi*i
     samples = []
     exact_ok = True
-    for _ in range(args.samples):
+    for i in range(args.samples):
         t = random_state(rng)
         res = ramanujan.conjugacy_residual(t, surrogate)
         exact_ok &= res == (0, 0, 0)
-        samples.append(
-            {
-                "t": list(t),
-                "E": list(ramanujan.dh_to_eisenstein(t, surrogate)),
-                "residual": list(res),
-            }
-        )
+        if i < 3:
+            E = ramanujan.dh_to_eisenstein(t, surrogate)
+            samples.append({"t": t, "E": E, "residual": res})
 
     state = dh.dh_theta_solution(1.3j)
     numeric = ramanujan.conjugacy_residual(state)
@@ -226,12 +201,12 @@ def cmd_verify_ramanujan(args):
         "series_residuals_zero": series_ok,
         "series_order": args.order,
         "conjugacy_exact_zero": exact_ok,
-        "conjugacy_samples": samples[:3],
+        "conjugacy_samples": samples,
         "theta_solution_check": {
             "tau": 1.3j,
-            "t": list(state),
-            "E": list(ramanujan.dh_to_eisenstein(state)),
-            "residual": list(numeric),
+            "t": state,
+            "E": ramanujan.dh_to_eisenstein(state),
+            "residual": numeric,
             "residual_norm": numeric_norm,
         },
     }
@@ -259,17 +234,15 @@ def cmd_verify_gauss_manin(args):
     rng = random.Random(args.seed)
     samples = []
     ok = True
-    for _ in range(args.samples):
+    for i in range(args.samples):
         t = random_distinct_state(rng)
-        contraction = gauss_manin.gm_contract(t, dh.dh_vector_field(t))
         residual = gauss_manin.verify_R_property(t)
         res_max = max(abs(x) for row in residual for x in row)
         ok &= res_max == 0
-        samples.append(
-            {"t": list(t), "contraction": [list(r) for r in contraction],
-             "residual_max_abs": res_max}
-        )
-    results = {"samples_checked": args.samples, "all_exact": ok, "samples": samples[:3]}
+        if i < 3:
+            contraction = gauss_manin.gm_contract(t, dh.dh_vector_field(t))
+            samples.append({"t": t, "contraction": contraction, "residual_max_abs": res_max})
+    results = {"samples_checked": args.samples, "all_exact": ok, "samples": samples}
     return results, ok, None
 
 
@@ -277,13 +250,13 @@ def cmd_verify_darboux(args):
     rng = random.Random(args.seed)
     ok = True
     samples = []
-    for _ in range(args.samples):
+    for i in range(args.samples):
         t = random_state(rng)
         r = dh.darboux_condition_residual(t)
-        good = r.first == 0 and r.second == 0 and r.common == 2 * t[0] * t[1] * t[2]
-        ok &= good
-        samples.append({"t": list(t), "residual": [r.first, r.second], "common": r.common})
-    results = {"samples_checked": args.samples, "all_exact": ok, "samples": samples[:3]}
+        ok &= r.first == 0 and r.second == 0 and r.common == 2 * t[0] * t[1] * t[2]
+        if i < 3:
+            samples.append({"t": t, "residual": [r.first, r.second], "common": r.common})
+    results = {"samples_checked": args.samples, "all_exact": ok, "samples": samples}
     return results, ok, None
 
 
@@ -297,7 +270,7 @@ def cmd_bianchi_flow(args):
     columns = [("t", traj.ts), ("omega", traj.states), ("err_est", traj.err_ests)]
     results = {
         "steps": len(traj) - 1,
-        "endpoint": {"t": traj.ts[-1], "omega": list(traj.states[-1])},
+        "endpoint": {"t": traj.ts[-1], "omega": traj.states[-1]},
         "max_err_est": max(traj.err_ests),
     }
     return results, True, columns
@@ -346,7 +319,7 @@ def cmd_bianchi_verify_constraint(args):
 
     ok = satisfied and quad_ok and theta_ok
     results = {
-        "omega": list(omega),
+        "omega": omega,
         "lhs": lhs,
         "rhs": rhs,
         "residual": residual,
@@ -374,7 +347,7 @@ def cmd_frobenius_cubic(args):
     results = {
         "cubic_coefficients": [complex(c) for c in coeffs],
         "root_set_distance": distance,
-        "theta_solution": list(theta),
+        "theta_solution": theta,
     }
     return results, distance < args.tol, None
 
@@ -389,20 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)
+    groups = {name: top.add_parser(name).add_subparsers(dest="command", required=True)
+              for name in ("dh", "series", "verify", "bianchi", "frobenius")}
 
-    def add(sub, name, handler, fmt_default="json"):
-        p = sub.add_parser(name)
+    def add(group, name, handler, formats=("json",)):
+        """The subparser of GROUP NAME; --format takes formats, the first the default."""
+        p = groups[group].add_parser(name)
         p._negative_number_matcher = _NEGATIVE_VALUE  # no public hook for this
-        # prog is "halphen GROUP NAME"; reports name the command "GROUP NAME"
-        command_name = p.prog.removeprefix("halphen ")
-        p.set_defaults(handler=handler, command_name=command_name, fmt_default=fmt_default)
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="report format (default %s)" % fmt_default)
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=formats, default=formats[0],
+                       help="report format (default %(default)s)")
         p.add_argument("--out", default=None, help="write the report to a file")
         return p
 
-    dh_p = top.add_parser("dh").add_subparsers(dest="command", required=True)
-    p = add(dh_p, "integrate", cmd_dh_integrate, fmt_default="csv")
+    p = add("dh", "integrate", cmd_dh_integrate, formats=("csv", "json"))
     p.add_argument("--t0", type=parse_complex, required=True, help="segment start RE,IM")
     p.add_argument("--t1", type=parse_complex, required=True, help="segment end RE,IM")
     p.add_argument("--initial", type=parse_state, default=None,
@@ -410,47 +383,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=positive_float, default=1e-10)
     p.add_argument("--max-step", type=positive_float)
 
-    p = add(dh_p, "theta", cmd_dh_theta)
+    p = add("dh", "theta", cmd_dh_theta)
     p.add_argument("--tau", type=parse_complex, required=True)
     p.add_argument("--tol", type=positive_float, default=1e-6)
 
-    series_p = top.add_parser("series").add_subparsers(dest="command", required=True)
-    p = add(series_p, "eisenstein", cmd_series_eisenstein)
+    p = add("series", "eisenstein", cmd_series_eisenstein)
     p.add_argument("--k", type=int, choices=(2, 4, 6), required=True)
     p.add_argument("--order", type=series_order, required=True)
 
-    p = add(series_p, "theta", cmd_series_theta)
+    p = add("series", "theta", cmd_series_theta)
     p.add_argument("--which", type=int, choices=(2, 3, 4), required=True)
     p.add_argument("--order", type=series_order, required=True)
 
-    verify_p = top.add_parser("verify").add_subparsers(dest="command", required=True)
-    p = add(verify_p, "ramanujan", cmd_verify_ramanujan)
+    p = add("verify", "ramanujan", cmd_verify_ramanujan)
     p.add_argument("--order", type=series_order, default=30)
     p.add_argument("--samples", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=positive_float, default=1e-9)
 
-    p = add(verify_p, "chazy", cmd_verify_chazy)
-    p.add_argument("--order", type=series_order, default=30)
+    # --help lists a group's commands in the order they are added here, and
+    # chazy comes second in both verify and frobenius
+    p = add("frobenius", "wdvv", cmd_frobenius_wdvv)
+    p.add_argument("--tau", type=parse_complex, required=True)
+    p.add_argument("--x", type=parse_complex, default=1 + 0j)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
-    p = add(verify_p, "gauss-manin", cmd_verify_gauss_manin)
+    for group in ("verify", "frobenius"):
+        p = add(group, "chazy", cmd_verify_chazy)
+        p.add_argument("--order", type=series_order, default=30)
+        p.add_argument("--tol", type=positive_float, default=1e-8)
+
+    p = add("verify", "gauss-manin", cmd_verify_gauss_manin)
     p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = add(verify_p, "darboux", cmd_verify_darboux)
+    p = add("verify", "darboux", cmd_verify_darboux)
     p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    bianchi_p = top.add_parser("bianchi").add_subparsers(dest="command", required=True)
-    p = add(bianchi_p, "flow", cmd_bianchi_flow, fmt_default="csv")
+    p = add("bianchi", "flow", cmd_bianchi_flow, formats=("csv", "json"))
     p.add_argument("--t0", type=finite_float, required=True)
     p.add_argument("--t1", type=finite_float, required=True)
     p.add_argument("--initial", type=parse_triple, required=True, help="Omega1,Omega2,Omega3")
     p.add_argument("--tol", type=positive_float, default=1e-10)
     p.add_argument("--max-step", type=positive_float)
 
-    p = add(bianchi_p, "flat-family", cmd_bianchi_flat_family, fmt_default="csv")
+    p = add("bianchi", "flat-family", cmd_bianchi_flat_family, formats=("csv", "json"))
     p.add_argument("--t0", type=finite_float, default=0.7)
     p.add_argument("--t1", type=finite_float, default=2.0)
     p.add_argument("--steps", type=positive_int, default=14)
@@ -458,24 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=finite_float, default=1.0)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
-    p = add(bianchi_p, "verify-constraint", cmd_bianchi_verify_constraint)
+    p = add("bianchi", "verify-constraint", cmd_bianchi_verify_constraint)
     p.add_argument("--t", type=finite_float, required=True)
     p.add_argument("--omega", type=parse_triple, default=None,
                    help="candidate Omega triple (default: flat family at --q0)")
     p.add_argument("--q0", type=finite_float, default=0.3)
     p.add_argument("--tol", type=positive_float, default=1e-10)
 
-    frob_p = top.add_parser("frobenius").add_subparsers(dest="command", required=True)
-    p = add(frob_p, "wdvv", cmd_frobenius_wdvv)
-    p.add_argument("--tau", type=parse_complex, required=True)
-    p.add_argument("--x", type=parse_complex, default=1 + 0j)
-    p.add_argument("--tol", type=positive_float, default=1e-8)
-
-    p = add(frob_p, "chazy", cmd_verify_chazy)
-    p.add_argument("--order", type=series_order, default=30)
-    p.add_argument("--tol", type=positive_float, default=1e-8)
-
-    p = add(frob_p, "cubic", cmd_frobenius_cubic)
+    p = add("frobenius", "cubic", cmd_frobenius_cubic)
     p.add_argument("--tau", type=parse_complex, required=True)
     p.add_argument("--tol", type=positive_float, default=1e-8)
 
@@ -514,9 +482,7 @@ def render_csv(columns) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = args.format or args.fmt_default
+    args = build_parser().parse_args(argv)
     try:
         results, ok, columns = args.handler(args)
     except ValueError as exc:
@@ -526,16 +492,15 @@ def main(argv=None) -> int:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 
-    if fmt == "csv" and columns is None:
-        parser.error("command %r has no CSV form" % args.command_name)
     # reports are strict JSON (RFC 8259 has no NaN or Infinity) and CSV
     # cells finite floats; a value outside both is a numeric failure
     try:
-        if fmt == "csv":
+        if args.format == "csv":
             payload = render_csv(columns)
         else:
             report = make_report(args, results, ok)
-            payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                                 default=_json_default) + "\n"
     except ValueError:
         print("numeric failure: the report holds a value that is not finite", file=sys.stderr)
         return EXIT_NUMERIC

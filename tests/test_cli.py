@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from halphen import qseries, rk
+from halphen import cli, qseries, rk
 from halphen.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -327,10 +327,17 @@ def test_reports_are_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_csv_rejected_for_non_tabular(capsys):
+def test_csv_rejected_for_non_tabular(capsys, monkeypatch):
+    # --format offers csv only where the handler returns columns: the refusal
+    # is a usage error at parse time, before the handler runs
+    def handler(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "cmd_verify_darboux", handler)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "darboux", "--format", "csv"])
     assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_out_file_and_summary_line(tmp_path, capsys):

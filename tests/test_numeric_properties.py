@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_rk import (  # noqa: E402
     assert_same_mesh,
@@ -84,13 +84,17 @@ def assert_err_ests_within_weights(traj, tol):
 
 @settings(max_examples=40, deadline=None)
 @given(upper_tau, upper_tau, tolerances)
+@example(1 + 0.3j, 0.3j, 1e-12)  # global endpoints 1.2 tol |y| apart
 def test_dh_endpoint_matches_numpy_to_the_tolerance(tau0, tau1, tol):
+    # DOP853 bounds each step's error, not the endpoint's, and the two
+    # implementations' error norms round differently, so their step sequences
+    # part.  So the numpy reference is restarted from each of rk's mesh points,
+    # and must reach the next one within tol |y| of it.
     assume(abs(tau1 - tau0) > 1e-3)
-    initial = tuple(dh.dh_theta_solution(tau0))
-    traj = dh.dh_integrate(initial, tau0, tau1, tol=tol)
-    ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, tol, tol)
-    scale = max(abs(v) for v in ref.ys[-1])
-    assert max(abs(a - b) for a, b in zip(traj.states[-1], ref.ys[-1])) <= tol * scale
+    traj = dh.dh_integrate(tuple(dh.dh_theta_solution(tau0)), tau0, tau1, tol=tol)
+    for a, b, y_a, y_b in zip(traj.ts, traj.ts[1:], traj.states, traj.states[1:]):
+        want = numpy_integrate(dh_segment_rhs(a, b), 0.0, 1.0, y_a, tol, tol).ys[-1]
+        assert max(abs(u - v) for u, v in zip(y_b, want)) <= tol * max(map(abs, want))
 
 
 @settings(max_examples=40, deadline=None)
