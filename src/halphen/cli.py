@@ -17,9 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, bianchi, dh, frobenius, gauss_manin, qseries, ramanujan
-from .rk import IntegrationBlowUp
-from .sampling import random_distinct_state, random_state
+from . import __version__
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -132,11 +130,15 @@ def make_report(args, results: dict, ok: bool) -> dict:
 # Every handler returns (results, ok, columns): the results object of the JSON
 # report, the verdict, and the named columns of the CSV form (None for the
 # commands whose --format offers only json; see render_csv).
+#
+# Each handler imports the library modules it runs, so a command loads
+# (and, without a bytecode cache, compiles) only those.
 
 # -- dh ---------------------------------------------------------------------------
 
 
 def cmd_dh_integrate(args):
+    from . import dh
     initial = args.initial or tuple(dh.dh_theta_solution(args.t0))
     traj = dh.dh_integrate(initial, args.t0, args.t1, tol=args.tol,
                            max_step=args.max_step or math.inf)
@@ -151,6 +153,7 @@ def cmd_dh_integrate(args):
 
 
 def cmd_dh_theta(args):
+    from . import dh
     state, rate = dh.dh_theta_jet(args.tau)
     residual = max(abs(a - b) for a, b in zip(rate, dh.dh_vector_field(state)))
     results = {"state": state, "ode_residual": residual}
@@ -161,11 +164,13 @@ def cmd_dh_theta(args):
 
 
 def cmd_series_eisenstein(args):
+    from . import qseries
     s = qseries.eisenstein_series(args.k, args.order)
     return {"variable": "q", "series": s.to_json_dict()}, True, None
 
 
 def cmd_series_theta(args):
+    from . import qseries
     s = qseries.theta_series(args.which, args.order)
     return {"variable": "w", "series": s.to_json_dict()}, True, None
 
@@ -176,6 +181,8 @@ def cmd_series_theta(args):
 
 
 def cmd_verify_ramanujan(args):
+    from . import dh, ramanujan
+    from .sampling import random_state
     residuals = ramanujan.ramanujan_series_residual(args.order)
     series_ok = all(r.is_zero() for r in residuals)
 
@@ -214,6 +221,7 @@ def cmd_verify_ramanujan(args):
 
 
 def cmd_verify_chazy(args):
+    from . import frobenius
     exact_ok = frobenius.chazy_e2_exact(args.order).is_zero()
     numeric = {}
     numeric_ok = True
@@ -231,6 +239,8 @@ def cmd_verify_chazy(args):
 
 
 def cmd_verify_gauss_manin(args):
+    from . import dh, gauss_manin
+    from .sampling import random_distinct_state
     rng = random.Random(args.seed)
     samples = []
     ok = True
@@ -247,6 +257,8 @@ def cmd_verify_gauss_manin(args):
 
 
 def cmd_verify_darboux(args):
+    from . import dh
+    from .sampling import random_state
     rng = random.Random(args.seed)
     ok = True
     samples = []
@@ -264,6 +276,7 @@ def cmd_verify_darboux(args):
 
 
 def cmd_bianchi_flow(args):
+    from . import bianchi
     traj = bianchi.omega_theta_flow(
         args.initial, args.t0, args.t1, tol=args.tol, max_step=args.max_step or math.inf
     )
@@ -277,6 +290,7 @@ def cmd_bianchi_flow(args):
 
 
 def cmd_bianchi_flat_family(args):
+    from . import bianchi
     # numpy.linspace's arithmetic: t0 + i*step, the last point exactly t1
     n = args.steps
     step = (args.t1 - args.t0) / max(n - 1, 1)
@@ -300,6 +314,7 @@ def cmd_bianchi_flat_family(args):
 
 
 def cmd_bianchi_verify_constraint(args):
+    from . import bianchi, qseries
     omega = args.omega if args.omega else bianchi.flat_family(args.t, args.q0).omega
     lhs, rhs = bianchi.constraint_lhs_rhs(omega, args.t)
     residual = lhs - rhs
@@ -334,6 +349,7 @@ def cmd_bianchi_verify_constraint(args):
 
 
 def cmd_frobenius_wdvv(args):
+    from . import frobenius
     jet = frobenius.modular_example_jet(args.x, frobenius.chazy_gamma_jet(args.tau))
     residual = frobenius.wdvv_residual_3d(frobenius.potential_third_partials(jet))
     results = {"wdvv_residual": residual, "x": args.x}
@@ -341,6 +357,7 @@ def cmd_frobenius_wdvv(args):
 
 
 def cmd_frobenius_cubic(args):
+    from . import dh, frobenius
     coeffs = frobenius.dh_cubic(frobenius.chazy_gamma_jet(args.tau))
     theta = dh.dh_theta_solution(args.tau)
     distance = frobenius.root_set_distance(frobenius.cubic_roots(coeffs), theta)
@@ -488,7 +505,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (ZeroDivisionError, OverflowError, IntegrationBlowUp) as exc:
+    except ArithmeticError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 

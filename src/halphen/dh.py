@@ -23,7 +23,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from . import rk
 from .qseries import (
     log_derivative,
     tau_complex,
@@ -91,6 +90,8 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
     rk.IntegrationBlowUp with the last trusted tau, as does a spent step
     budget, reported as the integration stopping.
     """
+    from . import rk  # here, so the commands that never integrate skip it
+
     t0 = tau_complex(tau0)
     t1 = tau_complex(tau1)
     dtau = t1 - t0

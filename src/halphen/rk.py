@@ -166,7 +166,7 @@ EXPONENT = 1 / 8 - 0.2 * BETA
 MAX_STEPS = 200_000
 
 
-class IntegrationBlowUp(RuntimeError):
+class IntegrationBlowUp(ArithmeticError):
     """Raised when the solution leaves the resolvable regime.
 
     Attributes carry the last trusted point so callers can report how far

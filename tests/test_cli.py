@@ -98,6 +98,7 @@ def test_negative_value_after_flag(capsys):
         ("bianchi flow --t0 0.7 --t1 2 --initial 1,inf,0.25", EXIT_USAGE),
         ("bianchi flat-family --q0 nan", EXIT_USAGE),
         ("dh integrate --t0 0,1 --t1 2,1 --initial 1,0,1,0,1,0", EXIT_NUMERIC),  # blow-up
+        ("bianchi flow --t0 0.7 --t1 2 --initial=-10,-10,-10", EXIT_NUMERIC),  # blow-up
         ("series eisenstein --k 4 --order %d" % (MAX_ORDER + 1), EXIT_USAGE),
         ("verify ramanujan --order %d" % (MAX_ORDER + 1), EXIT_USAGE),
         # theta sums past MAX_THETA_TERMS
@@ -351,15 +352,25 @@ def test_out_file_and_summary_line(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_numpy():
-    # the library and CLI run on the standard library alone, and the
-    # package root imports none of its submodules
+    # the library and CLI run on the standard library alone, the package
+    # root imports none of its submodules, and each command loads only the
+    # library modules it runs
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import halphen, sys; "
-         "assert not [m for m in sys.modules if m.startswith('halphen.')], sys.modules; "
-         "import halphen.cli; assert 'numpy' not in sys.modules; "
-         "assert 'dataclasses' not in sys.modules"],
-        env=env, check=True,
-    )
+    script = """
+import contextlib, io, sys
+def loaded():
+    return {m for m in sys.modules if m.startswith("halphen")}
+import halphen
+assert loaded() == {"halphen"}, loaded()
+import halphen.cli as cli
+assert loaded() == {"halphen", "halphen.cli"}, loaded()
+assert "numpy" not in sys.modules and "dataclasses" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["series", "theta", "--which", "3", "--order", "10"]) == 0
+assert loaded() == {"halphen", "halphen.cli", "halphen.qseries"}, loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["dh", "theta", "--tau", "0,1"]) == 0
+assert not loaded() & {"halphen.rk", "halphen.bianchi", "halphen.frobenius"}, loaded()
+"""
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
