@@ -1,4 +1,4 @@
-"""Darboux-Halphen flows in their four guises: theta closed forms with exact
+"""Darboux-Halphen flows in their five guises: theta closed forms with exact
 q-series verification, the Eisenstein/Ramanujan conjugacy, Bianchi IX
 self-duality, the elliptic-family connection contraction and the
 Chazy/WDVV link."""
