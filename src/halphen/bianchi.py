@@ -21,7 +21,6 @@ import cmath
 import math
 from collections import namedtuple
 
-from . import rk
 from .dh import dh_vector_field
 from .qseries import (
     ThetaCharacteristics,
@@ -248,8 +247,10 @@ def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
     f is omega_field's arithmetic, but keeps the last (t, A): the last
     stage of a DOP853 step and the FSAL stage after it share the time
     t + h, so A is computed once per distinct stage time, 2 + 11 per
-    attempted step instead of 2 + 12 (and 3 when dense output first lands
-    in a step)."""
+    attempted step instead of 2 + 12, and 12 for each state the
+    trajectory's at() takes between mesh points."""
+    from . import rk  # here, so the commands that never integrate skip it
+
     t_last = a_last = None
 
     def f(t, y):

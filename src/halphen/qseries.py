@@ -429,14 +429,6 @@ class PiGradedQSeries:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PiGradedQSeries":
-        return cls(
-            [(int(n), Fraction(c)) for n, c in d["terms"]],
-            int(d["trunc_order"]),
-            int(d["pi_power"]),
-        )
-
 
 # -- points and characteristics -----------------------------------------------
 

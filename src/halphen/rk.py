@@ -1,21 +1,21 @@
 """Adaptive embedded Runge-Kutta integration for complex-valued systems.
 
 Dormand-Prince 8(5,3), the eighth-order pair of Prince & Dormand as DOP853:
-FSAL, Hairer's combined fifth/third-order error estimate, PI step-size
-control and a seventh-order continuous extension for dense output (Prince &
-Dormand, J. Comput. Appl. Math. 7 (1981) 67-75; Hairer, Norsett & Wanner,
-Solving ODEs I, II.10).  The state vector may be complex; the independent
-variable is real (callers integrating along a complex segment parameterise
-it by arc fraction).  Blow-up - a non-finite state or a step size driven
-below machine resolution - raises IntegrationBlowUp instead of silently
-clipping, and so does a spent step budget (MAX_STEPS), which is stiffness or
-a long span, not a blow-up.
+FSAL, Hairer's combined fifth/third-order error estimate and PI step-size
+control (Prince & Dormand, J. Comput. Appl. Math. 7 (1981) 67-75; Hairer,
+Norsett & Wanner, Solving ODEs I, II.10).  A state between mesh points is
+one more step of the same method, from the mesh point before it (II.6).  The
+state vector may be complex; the independent variable is real (callers
+integrating along a complex segment parameterise it by arc fraction).
+Blow-up - a non-finite state or a step size driven below machine resolution
+- raises IntegrationBlowUp instead of silently clipping, and so does a spent
+step budget (MAX_STEPS), which is stiffness or a long span, not a blow-up.
 
 Pure Python: states are lists of complex, and f(t, y) receives such a list
 and may return any sequence of numbers.  Each stage sums its sparse tableau
 row component by component in stage order.  f is called twice at the start
-and twelve times per attempted step; dense output calls it three more times
-for each step it lands in, once.
+and twelve times per attempted step, and RkSolution.at calls it twelve times
+for each state it takes between mesh points.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ __all__ = ["IntegrationBlowUp", "RkSolution", "Trajectory", "integrate"]
 
 # Dormand-Prince 8(5,3) tableau in DOP853's stage numbering.  Stages 0-11
 # make a step; stage 12 is f at the new point, where row 12 of A (the
-# weights B) puts it, and FSAL makes it the next step's stage 0; stages
-# 13-15 serve dense output only.  Rows are sparse, {stage: coefficient}.
+# weights B) puts it, and FSAL makes it the next step's stage 0.  Rows are
+# sparse, {stage: coefficient}.
 C = (
     0.0,
     0.526001519587677318785587544488e-01,
@@ -48,9 +48,6 @@ C = (
     0.857142857142857142857142857142,
     1.0,
     1.0,
-    0.1,
-    0.2,
-    0.777777777777777777777777777778,
 )
 A = (
     {},
@@ -86,18 +83,6 @@ A = (
      6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
      8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
      10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
-    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
-     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
-     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
-     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
-    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
-     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
-     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
-     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
-    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
-     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
-     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
-     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
 )
 B = A[12]
 # Eighth-order weights minus the embedded fifth-order ones (E5) and minus
@@ -111,35 +96,6 @@ E5 = {
 _BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
         11: 0.220588235294117647058823529412e-1}
 E3 = {j: b - _BHH.get(j, 0.0) for j, b in B.items()}
-# Dense output: stage weights of the last four of the continuous
-# extension's seven terms (the first three follow from y_old, y_new and the
-# derivatives there; see RkSolution.at).
-D = (
-    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
-     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
-     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
-     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
-     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
-     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
-    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
-     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
-     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
-     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
-     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
-     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
-    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
-     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
-     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
-     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
-     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
-     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
-    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
-     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
-     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
-     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
-     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
-     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
-)
 
 
 def _row(coeffs: dict):
@@ -154,9 +110,7 @@ def _row(coeffs: dict):
 
 
 _STEP_STAGES = [(C[i], _row(A[i])) for i in range(1, 12)]
-_DENSE_STAGES = [(C[i], _row(A[i])) for i in range(13, 16)]
 _B, _E5, _E3 = _row(B), _row(E5), _row(E3)
-_D = [_row(d) for d in D]
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -182,8 +136,8 @@ class IntegrationBlowUp(ArithmeticError):
         self.steps_rejected = steps_rejected
 
 
-# One accepted step; k holds the derivatives of stages 0-12.
-_Step = namedtuple("_Step", "t_old h y_old k")
+# One accepted step, from y_old at t_old to the next mesh point.
+_Step = namedtuple("_Step", "t_old h y_old")
 
 
 def _sums(row, k) -> list:
@@ -198,15 +152,23 @@ def _advance(y, h, row, k) -> list:
     return [v + h * sum(map(mul, coeffs, ks)) for v, ks in zip(y, zip(*get(k)))]
 
 
+def _step(f, t, y, f0, h):
+    """One step of size h from (t, y), f0 = f(t, y): the derivatives of
+    stages 0-11, which calls f 11 times, and the eighth-order state at t + h."""
+    k = [f0]
+    for c, row in _STEP_STAGES:
+        k.append(f(t + c * h, _advance(y, h, row, k)))
+    return k, _advance(y, h, _B, k)
+
+
 class RkSolution:
-    """Accepted mesh (ts, ys), per-step local error estimates and the
-    continuous extension for evaluation between mesh points.
+    """Accepted mesh (ts, ys), per-step local error estimates, the accepted
+    steps, and the right-hand side f that at() steps with between mesh points.
 
-    rhs_evals counts the calls of f, dense output's included, and
-    steps_rejected the attempted steps the controller refused; the accepted
-    ones are the steps."""
+    rhs_evals counts the calls of f, at()'s included, and steps_rejected the
+    attempted steps the controller refused; the accepted ones are the steps."""
 
-    __slots__ = ("ts", "ys", "err_ests", "steps", "f", "rhs_evals", "steps_rejected", "_dense")
+    __slots__ = ("ts", "ys", "err_ests", "steps", "f", "rhs_evals", "steps_rejected")
 
     def __init__(self, ts, ys, err_ests, steps, f, rhs_evals, steps_rejected):
         self.ts = ts
@@ -216,44 +178,22 @@ class RkSolution:
         self.f = f
         self.rhs_evals = rhs_evals
         self.steps_rejected = steps_rejected
-        self._dense = {}  # step index -> the seven terms of its extension
-
-    def _extension(self, idx: int) -> list:
-        """Terms F0..F6 of step idx's continuous extension, from its three
-        dense-output stages."""
-        t_old, h, y_old, k = self.steps[idx]
-        k = list(k)
-        for c, row in _DENSE_STAGES:
-            k.append(self.f(t_old + c * h, _advance(y_old, h, row, k)))
-        self.rhs_evals += len(_DENSE_STAGES)
-        dy = [b - a for a, b in zip(y_old, self.ys[idx + 1])]
-        f_old, f_new = k[0], k[12]
-        return [
-            dy,
-            [h * p - d for p, d in zip(f_old, dy)],
-            [2 * d - h * (q + p) for d, p, q in zip(dy, f_old, f_new)],
-            *([h * s for s in _sums(row, k)] for row in _D),
-        ]
 
     def at(self, t: float) -> list:
-        """Dense-output state at t inside the integrated interval."""
+        """State at t inside the integrated interval.  At a mesh point or the
+        end of the mesh it is that mesh state; elsewhere it is one step of
+        the method from the last mesh point before t to t, 12 calls of f and
+        nothing kept.  That step is an eighth-order interpolant which meets
+        both ends of the accepted step to rounding."""
         t0, t1 = self.ts[0], self.ts[-1]
         if not (t0 - 1e-12 <= t <= t1 + 1e-12):
             raise ValueError("t=%g outside integrated interval [%g, %g]" % (t, t0, t1))
-        if not self.steps:
-            return list(self.ys[0])
-        idx = bisect.bisect_right(self.ts, t) - 1
-        idx = min(max(idx, 0), len(self.steps) - 1)
-        terms = self._dense.get(idx)
-        if terms is None:
-            terms = self._dense[idx] = self._extension(idx)
-        step = self.steps[idx]
-        x = (t - step.t_old) / step.h
-        x1 = 1 - x
-        # y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))), so that
-        # x = 0 gives y_old and x = 1 gives y_old + F0 = y_new
-        return [v + x * (a0 + x1 * (a1 + x * (a2 + x1 * (a3 + x * (a4 + x1 * (a5 + x * a6))))))
-                for v, a0, a1, a2, a3, a4, a5, a6 in zip(step.y_old, *terms)]
+        idx = max(bisect.bisect_right(self.ts, t) - 1, 0)
+        if idx == len(self.steps) or t == self.ts[idx]:
+            return list(self.ys[idx])
+        t_old, _, y_old = self.steps[idx]
+        self.rhs_evals += 12
+        return _step(self.f, t_old, y_old, self.f(t_old, y_old), t - t_old)[1]
 
 
 class Trajectory:
@@ -282,7 +222,7 @@ class Trajectory:
         return len(self.ts)
 
     def at(self, x) -> tuple:
-        """Dense-output state at a point x of the integrated segment."""
+        """State at a point x of the integrated segment, by RkSolution.at."""
         s = (x - self._x0) / self._dx
         if abs(s.imag) > 1e-9:
             raise ValueError("%r is not on the integrated segment" % (x,))
@@ -394,17 +334,14 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
             raise blow_up(
                 "step size underflow at t=%g (|y|=%g): solution blow-up" % (t, max(map(abs, y))))
         attempts += 1
-        k = [f_cur]
-        for c, row in _STEP_STAGES:
-            k.append(f(t + c * h, _advance(y, h, row, k)))
-        y_new = _advance(y, h, _B, k)
+        k, y_new = _step(f, t, y, f_cur, h)
         k.append(f(t + h, y_new))
         if not _finite(chain(y_new, *k[1:])):
             raise blow_up("non-finite state at t=%g: solution blow-up" % (t + h))
         err, err_est = _error_norm(_sums(_E5, k), _sums(_E3, k), h,
                                    _weights(y, y_new, rtol, atol))
         if err <= 1.0:
-            steps.append(_Step(t_old=t, h=h, y_old=y, k=k))
+            steps.append(_Step(t_old=t, h=h, y_old=y))
             t = t + h
             y = y_new
             f_cur = k[12]  # FSAL

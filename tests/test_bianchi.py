@@ -291,8 +291,9 @@ def test_omega_flow_residual_along_dense_output():
 def test_omega_flow_computes_A_once_per_distinct_stage_time(initial, t0, t1, tol, max_step):
     # the reference calls omega_field at every stage: 2 + 12 per attempted
     # step; the flow shares A between the last two stages, both at t + h,
-    # so it computes A 2 + 11 times per attempted step.  Dense output adds
-    # its three stages once, in the step it lands in.
+    # so it computes A 2 + 11 times per attempted step.  Each state taken
+    # between mesh points is one more step from the mesh point before it:
+    # A at its 12 distinct stage times, every time, as nothing is kept.
     stage_times = []
 
     def every_stage(t, y):
@@ -310,10 +311,10 @@ def test_omega_flow_computes_A_once_per_distinct_stage_time(initial, t0, t1, tol
         assert spy.call_count == 2 + 11 * attempted
         ts = traj.ts
         traj.at(0.5 * (ts[3] + ts[4]))
-        assert spy.call_count == 2 + 11 * attempted + 3
+        assert spy.call_count == 2 + 11 * attempted + 12
         traj.at(0.25 * ts[3] + 0.75 * ts[4])
-        assert spy.call_count == 2 + 11 * attempted + 3
-        assert sol.rhs_evals == ref.rhs_evals + 3
+        assert spy.call_count == 2 + 11 * attempted + 24
+        assert sol.rhs_evals == ref.rhs_evals + 24
     assert traj.ts == ref.ts
     assert traj.states == [tuple(y) for y in ref.ys]
 

@@ -372,5 +372,9 @@ assert loaded() == {"halphen", "halphen.cli", "halphen.qseries"}, loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["dh", "theta", "--tau", "0,1"]) == 0
 assert not loaded() & {"halphen.rk", "halphen.bianchi", "halphen.frobenius"}, loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["bianchi", "flat-family", "--q0", "0.3"]) == 0
+    assert cli.main(["bianchi", "verify-constraint", "--t", "1", "--q0", "0.3"]) == 0
+assert "halphen.bianchi" in loaded() and "halphen.rk" not in loaded(), loaded()
 """
     subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -22,7 +22,7 @@ RECORDS = [
     gauss_manin.gm_matrix((1, 2, 3)),
     qseries.ThetaCharacteristics(0, 0, 1j),
     ramanujan.EisensteinState(1, 2, 3),
-    rk._Step(0.0, 0.1, [1j], ()),
+    rk._Step(0.0, 0.1, [1j]),
 ]
 
 

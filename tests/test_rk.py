@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from halphen import bianchi, dh
 from halphen.rk import (
-    A, B, BETA, C, D, E3, E5, EXPONENT, MAX_FACTOR, MIN_FACTOR, SAFETY, IntegrationBlowUp,
+    A, B, BETA, C, E3, E5, EXPONENT, MAX_FACTOR, MIN_FACTOR, SAFETY, IntegrationBlowUp,
     integrate,
 )
 
@@ -21,10 +22,9 @@ def dense(rows, width):
 
 
 NP_C = np.array(C)
-NP_A = dense(A, 16)
+NP_A = dense(A, 13)
 NP_B = NP_A[12, :12]
 NP_E5, NP_E3 = dense([E5, E3], 12)
-NP_D = dense(D, 16)
 
 
 def test_tableau_consistency():
@@ -39,16 +39,16 @@ def test_tableau_consistency():
 
 
 def test_tableau_matches_scipy_dop853():
+    # rows 0-12 make a step; scipy's rows 13-15 serve its dense output
     coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-    assert np.array_equal(NP_A, coeffs.A)
-    assert np.array_equal(NP_C, coeffs.C)
+    assert np.array_equal(NP_A, coeffs.A[:13, :13])
+    assert np.array_equal(NP_C, coeffs.C[:13])
     assert np.array_equal(NP_E5, coeffs.E5[:12]) and coeffs.E5[12] == 0
     assert np.array_equal(NP_E3, coeffs.E3[:12]) and coeffs.E3[12] == 0
-    assert np.array_equal(NP_D, coeffs.D)
 
 
 def test_dense_coefficients_match_weights_at_unit_theta():
-    # the continuous extension starts at each step's y_old (theta = 0) and
+    # a state inside a step starts at the step's y_old (theta = 0) and
     # ends at its y_new (theta = 1), approached from inside the step
     sol = integrate(lambda t, y: [1j * v - 0.3 * t for v in y], 0.0, 4.0, [1.0 + 0.5j, 2j],
                     rtol=1e-9, atol=1e-9)
@@ -84,6 +84,23 @@ def test_dense_output_rejects_outside_interval():
         sol.at(1.5)
 
 
+def test_integration_keeps_no_per_step_stages():
+    # a solution holds its mesh, error estimates and step records, not the
+    # stage derivatives of each step (13 complex vectors, ~2.8 kB a step here)
+    dh.dh_integrate(dh.dh_theta_solution(1j), 1j, 1.1j, 1e-12)  # imports and caches
+    initial = dh.dh_theta_solution(1j)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = dh.dh_integrate(initial, 1j, 200j, 1e-12)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    steps = len(traj._solution.steps)
+    assert steps > 100
+    assert held < 1000 * steps, held / steps
+
+
 def test_nonautonomous_rhs():
     sol = integrate(lambda t, y: [2 * t + 0j], 0.0, 1.5, [0j], rtol=1e-10, atol=1e-12)
     assert abs(sol.ys[-1][0] - 2.25) < 1e-9
@@ -114,9 +131,18 @@ def test_invalid_arguments():
 
 # -- numpy reference integrator ------------------------------------------------------
 #
-# A numpy DOP853 kept as an oracle: the same tableau, step control and
-# dense output on complex128 arrays, with the continuous extension
-# evaluated on its power basis rather than in nested form.
+# A numpy DOP853 kept as an oracle: the same tableau and step control on
+# complex128 arrays, with each stage a matrix product over the full rows.
+
+
+def numpy_stages(f, t, y, f_cur, h):
+    """The derivatives of stages 0-11 of a step of size h from (t, y), whose
+    eighth-order state is y + h * (NP_B @ stages)."""
+    K = np.empty((12, y.size), dtype=complex)
+    K[0] = f_cur
+    for s in range(1, 12):
+        K[s] = f(t + NP_C[s] * h, y + h * (NP_A[s, :s] @ K[:s]))
+    return K
 
 
 @dataclass
@@ -124,21 +150,17 @@ class NumpySolution:
     ts: np.ndarray
     ys: np.ndarray
     err_ests: np.ndarray
-    steps: list  # (t_old, h, y_old, y_new, K) per accepted step, K the 13 stages
     f: object
 
     def at(self, t):
-        idx = min(max(np.searchsorted(self.ts, t, side="right") - 1, 0), len(self.steps) - 1)
-        t_old, h, y_old, y_new, K = self.steps[idx]
-        K = np.vstack([K, np.empty((3, y_old.size), dtype=complex)])
-        for s in range(13, 16):
-            K[s] = self.f(t_old + NP_C[s] * h, y_old + h * (NP_A[s, :s] @ K[:s]))
-        dy = y_new - y_old
-        F = np.vstack([dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]), h * (NP_D @ K)])
-        x = (t - t_old) / h
-        # y_old + x (F0 + (1-x) (F1 + x (F2 + ...))): F_j has x**(j//2+1) (1-x)**((j+1)//2)
-        j = np.arange(7)
-        return y_old + (x ** (j // 2 + 1) * (1 - x) ** ((j + 1) // 2)) @ F
+        """The mesh state at a mesh point or the end of the mesh, else one
+        step from the last mesh point before t to t."""
+        idx = max(np.searchsorted(self.ts, t, side="right") - 1, 0)
+        t_old, y_old = self.ts[idx], self.ys[idx]
+        if idx == self.ts.size - 1 or t == t_old:
+            return y_old
+        h = t - t_old
+        return y_old + h * (NP_B @ numpy_stages(self.f, t_old, y_old, self.f(t_old, y_old), h))
 
 
 def numpy_rms_scaled(e, scale):
@@ -170,22 +192,17 @@ def numpy_integrate(f, t0, t1, y0, rtol, atol, max_step=np.inf):
     h1 = max(1e-6 * span, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     h = min(100 * h0, h1, span, max_step)
     h_min = 16 * np.finfo(float).eps * max(abs(t0), abs(t1), 1.0)
-    ts, ys, err_ests, steps = [t], [y.copy()], [0.0], []
+    ts, ys, err_ests = [t], [y.copy()], [0.0]
     err_prev, rejected = 1e-4, False
-    K = np.empty((13, y.size), dtype=complex)
     while not (t >= t1 or t1 - t < h_min):
         h = min(h, t1 - t, max_step)
         assert h >= h_min, "step size underflow"
-        K[0] = f_cur
-        for s in range(1, 12):
-            K[s] = f(t + NP_C[s] * h, y + h * (NP_A[s, :s] @ K[:s]))
-        y_new = y + h * (NP_B @ K[:12])
-        K[12] = f(t + h, y_new)
-        err, err_est = numpy_error_norm(NP_E5 @ K[:12], NP_E3 @ K[:12], h,
+        K = numpy_stages(f, t, y, f_cur, h)
+        y_new = y + h * (NP_B @ K)
+        err, err_est = numpy_error_norm(NP_E5 @ K, NP_E3 @ K, h,
                                         atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
         if err <= 1.0:
-            steps.append((t, h, y.copy(), y_new, K.copy()))
-            t, y, f_cur = t + h, y_new, K[12].copy()
+            t, y, f_cur = t + h, y_new, np.asarray(f(t + h, y_new), dtype=complex)
             ts.append(t)
             ys.append(y.copy())
             err_ests.append(err_est)
@@ -196,7 +213,7 @@ def numpy_integrate(f, t0, t1, y0, rtol, atol, max_step=np.inf):
         else:
             rejected = True
             h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
-    return NumpySolution(np.array(ts), np.array(ys), np.array(err_ests), steps, f)
+    return NumpySolution(np.array(ts), np.array(ys), np.array(err_ests), f)
 
 
 def dh_segment_rhs(tau0, tau1):
