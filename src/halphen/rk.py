@@ -12,10 +12,13 @@ Blow-up - a non-finite state or a step size driven below machine resolution
 step budget (MAX_STEPS), which is stiffness or a long span, not a blow-up.
 
 Pure Python: states are lists of complex, and f(t, y) receives such a list
-and may return any sequence of numbers.  Each stage sums its sparse tableau
-row component by component in stage order.  f is called twice at the start
-and twelve times per attempted step, and RkSolution.at calls it twelve times
-for each state it takes between mesh points.
+and may return any sequence of numbers.  At import each sparse tableau row
+becomes one function that writes its sum out term by term, as DOP853 writes
+each stage: per component, the coefficients times the stage derivatives,
+added left to right in stage order (explicit +, not sum(), which compensates
+float sums on Python 3.12+).  f is called twice at the start and twelve
+times per attempted step, and RkSolution.at calls it twelve times for each
+state it takes between mesh points.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 import sys
 from collections import namedtuple
 from itertools import chain
-from operator import itemgetter, mul
 
 __all__ = ["IntegrationBlowUp", "RkSolution", "Trajectory", "integrate"]
 
@@ -98,19 +100,23 @@ _BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547
 E3 = {j: b - _BHH.get(j, 0.0) for j, b in B.items()}
 
 
-def _row(coeffs: dict):
-    """A sparse row as (get, coefficients), the form the loops read: get(k)
-    is the tuple of the row's stage derivatives.  An itemgetter builds that
-    tuple at its size; zip(*map(...)) would build it by shrinking a longer
-    one, and the shrunk tuples pile up on CPython's per-size free lists
-    (~1 MB of peak memory)."""
-    stages = tuple(coeffs)
-    get = itemgetter(*stages) if len(stages) > 1 else (lambda k, j=stages[0]: (k[j],))
-    return get, tuple(coeffs.values())
+def _row(coeffs: dict, advance: bool = True):
+    """The sparse row {stage: a} as one function of the stage derivatives k,
+    its sum written out with each coefficient by repr, which round-trips a
+    double: (y, h, k) -> [v + h * (a0*k0 + a3*k3 + ...)] componentwise, a
+    stage's input, or with advance false k -> [a0*k0 + ...]."""
+    total = " + ".join("%r * k%d" % (a, j) for j, a in coeffs.items())
+    names = ", ".join("k%d" % j for j in coeffs)
+    stages = ", ".join("k[%d]" % j for j in coeffs)
+    if advance:
+        source = "lambda y, h, k: [v + h * (%s) for v, %s in zip(y, %s)]"
+    else:
+        source = "lambda k: [%s for %s, in zip(%s)]"
+    return eval(source % (total, names, stages))
 
 
 _STEP_STAGES = [(C[i], _row(A[i])) for i in range(1, 12)]
-_B, _E5, _E3 = _row(B), _row(E5), _row(E3)
+_B, _E5, _E3 = _row(B), _row(E5, False), _row(E3, False)
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -140,25 +146,13 @@ class IntegrationBlowUp(ArithmeticError):
 _Step = namedtuple("_Step", "t_old h y_old")
 
 
-def _sums(row, k) -> list:
-    """sum_j a_j k_j per component for a sparse row, summed in stage order."""
-    get, coeffs = row
-    return [sum(map(mul, coeffs, ks)) for ks in zip(*get(k))]
-
-
-def _advance(y, h, row, k) -> list:
-    """y + h * sum_j a_j k_j, a stage's input, with the sums of _sums."""
-    get, coeffs = row
-    return [v + h * sum(map(mul, coeffs, ks)) for v, ks in zip(y, zip(*get(k)))]
-
-
 def _step(f, t, y, f0, h):
     """One step of size h from (t, y), f0 = f(t, y): the derivatives of
     stages 0-11, which calls f 11 times, and the eighth-order state at t + h."""
     k = [f0]
-    for c, row in _STEP_STAGES:
-        k.append(f(t + c * h, _advance(y, h, row, k)))
-    return k, _advance(y, h, _B, k)
+    for c, advance in _STEP_STAGES:
+        k.append(f(t + c * h, advance(y, h, k)))
+    return k, _B(y, h, k)
 
 
 class RkSolution:
@@ -338,8 +332,7 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
         k.append(f(t + h, y_new))
         if not _finite(chain(y_new, *k[1:])):
             raise blow_up("non-finite state at t=%g: solution blow-up" % (t + h))
-        err, err_est = _error_norm(_sums(_E5, k), _sums(_E3, k), h,
-                                   _weights(y, y_new, rtol, atol))
+        err, err_est = _error_norm(_E5(k), _E3(k), h, _weights(y, y_new, rtol, atol))
         if err <= 1.0:
             steps.append(_Step(t_old=t, h=h, y_old=y))
             t = t + h

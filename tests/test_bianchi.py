@@ -119,7 +119,7 @@ def c_flow_rhs(sign):
 def test_sd_residual_along_integrated_profile():
     # integrate the reduced flow itself (the anti branch decays, the
     # self-dual one hits a movable pole near r = 0.35), then substitute
-    # dense-output central differences back into the residual.
+    # central differences of at() between mesh points into the residual.
     sol = integrate(
         c_flow_rhs(ANTI_SELF_DUAL), 0.0, 0.5, [1.0, 1.2, 0.8],
         rtol=1e-10, atol=1e-12, max_step=0.01,

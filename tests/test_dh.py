@@ -174,9 +174,9 @@ def test_integrate_one_step_taylor():
     assert max(abs(a - b) for a, b in zip(end, taylor)) < 5e-3
 
 
-def test_integrate_difference_law_on_dense_output():
-    # d/dtau (t1 - t2) = 2 t3 (t1 - t2), checked by central differences on
-    # the dense output at interior points of every accepted step.
+def test_integrate_difference_law_between_mesh_points():
+    # d/dtau (t1 - t2) = 2 t3 (t1 - t2), checked by central differences of
+    # at(), one partial step of the method, inside every accepted step.
     tol = 1e-8
     traj = dh_integrate(dh_theta_solution(1.2j), 1.2j, 1.8j, tol=tol)
     h = 1e-4

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from halphen import bianchi, dh
+from halphen import bianchi, dh, rk
 from halphen.rk import (
     A, B, BETA, C, E3, E5, EXPONENT, MAX_FACTOR, MIN_FACTOR, SAFETY, IntegrationBlowUp,
     integrate,
@@ -39,7 +39,8 @@ def test_tableau_consistency():
 
 
 def test_tableau_matches_scipy_dop853():
-    # rows 0-12 make a step; scipy's rows 13-15 serve its dense output
+    # rows 0-12 make a step; scipy's rows 13-15 make its continuous
+    # extension, which rk does without
     coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
     assert np.array_equal(NP_A, coeffs.A[:13, :13])
     assert np.array_equal(NP_C, coeffs.C[:13])
@@ -47,9 +48,22 @@ def test_tableau_matches_scipy_dop853():
     assert np.array_equal(NP_E3, coeffs.E3[:12]) and coeffs.E3[12] == 0
 
 
-def test_dense_coefficients_match_weights_at_unit_theta():
-    # a state inside a step starts at the step's y_old (theta = 0) and
-    # ends at its y_new (theta = 1), approached from inside the step
+def test_compiled_rows_return_their_coefficients():
+    # with stage j's derivative the unit vector e_j, y = 0 and h = 1, each
+    # compiled row returns its coefficients, bit for bit
+    unit = [[float(i == j) for i in range(13)] for j in range(13)]
+    zero = [0.0] * 13
+    for i, (c, advance) in enumerate(rk._STEP_STAGES, start=1):
+        assert c == C[i]
+        assert advance(zero, 1.0, unit[:i]) == list(NP_A[i])
+    assert rk._B(zero, 1.0, unit) == list(NP_A[12])
+    assert rk._E5(unit) == list(NP_E5) + [0.0]
+    assert rk._E3(unit) == list(NP_E3) + [0.0]
+
+
+def test_at_meets_both_ends_of_each_step():
+    # at a mesh point at() is the step's y_old, and just before the next
+    # one its partial step reaches the step's y_new to rounding
     sol = integrate(lambda t, y: [1j * v - 0.3 * t for v in y], 0.0, 4.0, [1.0 + 0.5j, 2j],
                     rtol=1e-9, atol=1e-9)
     assert len(sol.steps) > 5
@@ -72,13 +86,13 @@ def test_complex_rotation():
     assert abs(sol.ys[-1][0] - 1.0) < 1e-8
 
 
-def test_dense_output_against_closed_form():
+def test_at_against_closed_form():
     sol = integrate(lambda t, y: [-v for v in y], 0.0, 2.0, [1.0 + 0j], rtol=1e-10, atol=1e-12)
     for t in np.linspace(0.05, 1.95, 37):
         assert abs(sol.at(t)[0] - math.exp(-t)) < 1e-8
 
 
-def test_dense_output_rejects_outside_interval():
+def test_at_rejects_outside_interval():
     sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0 + 0j], rtol=1e-8, atol=1e-10)
     with pytest.raises(ValueError):
         sol.at(1.5)
