@@ -172,7 +172,7 @@ states = st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
 def test_step_sums_each_row_left_to_right(f, t, y, h):
     # repr tells the sign of a zero, and a float from a complex
     k, y_new = rk._step(f, t, y, f(t, y), h)
-    k_ref, y_ref = reference_step(f, t, y, f(t, y), h)
+    k_ref, y_ref = reference_step(f, t, y, k[0], h)
     assert repr(k) == repr(k_ref) and repr(y_new) == repr(y_ref)
     k.append(f(t + h, y_new))
     for compiled, row in ((rk._E5, rk.E5), (rk._E3, rk.E3)):
