@@ -232,6 +232,8 @@ class PiGradedQSeries:
             )
         if n < 0:
             return Fraction(0)
+        if self.den == 1:  # skips Fraction's gcd
+            return Fraction(self.num[n])
         return Fraction(self.num[n], self.den)
 
     def terms(self) -> list[tuple[int, Fraction]]:

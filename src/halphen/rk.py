@@ -12,13 +12,13 @@ Blow-up - a non-finite state or a step size driven below machine resolution
 step budget (MAX_STEPS), which is stiffness or a long span, not a blow-up.
 
 Pure Python: states are lists of complex, and f(t, y) receives such a list
-and may return any sequence of numbers.  At import each sparse tableau row
-becomes one function that writes its sum out term by term, as DOP853 writes
-each stage: per component, the coefficients times the stage derivatives,
-added left to right in stage order (explicit +, not sum(), which compensates
-float sums on Python 3.12+).  f is called twice at the start and twelve
-times per attempted step, and RkSolution.at calls it twelve times for each
-state it takes between mesh points.
+and may return any sequence of numbers of the state's length.  For each
+length, one attempted step is generated as straight-line code on scalars,
+as DOP853 writes it: per component, each stage sum term by term, added left
+to right in stage order (explicit +, not sum(), which compensates float sums
+on Python 3.12+), and the error sums in one pass.  f is called twice at the
+start and twelve times per attempted step, and RkSolution.at calls it twelve
+times for each state it takes between mesh points.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import cmath
 import math
 import sys
 from collections import namedtuple
-from itertools import chain
 
 __all__ = ["IntegrationBlowUp", "RkSolution", "Trajectory", "integrate"]
 
@@ -99,24 +98,49 @@ _BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547
         11: 0.220588235294117647058823529412e-1}
 E3 = {j: b - _BHH.get(j, 0.0) for j, b in B.items()}
 
-
-def _row(coeffs: dict, advance: bool = True):
-    """The sparse row {stage: a} as one function of the stage derivatives k,
-    its sum written out with each coefficient by repr, which round-trips a
-    double: (y, h, k) -> [v + h * (a0*k0 + a3*k3 + ...)] componentwise, a
-    stage's input, or with advance false k -> [a0*k0 + ...]."""
-    total = " + ".join("%r * k%d" % (a, j) for j, a in coeffs.items())
-    names = ", ".join("k%d" % j for j in coeffs)
-    stages = ", ".join("k[%d]" % j for j in coeffs)
-    if advance:
-        source = "lambda y, h, k: [v + h * (%s) for v, %s in zip(y, %s)]"
-    else:
-        source = "lambda k: [%s for %s, in zip(%s)]"
-    return eval(source % (total, names, stages))
+_ATTEMPTS: dict = {}
 
 
-_STEP_STAGES = [(C[i], _row(A[i])) for i in range(1, 12)]
-_B, _E5, _E3 = _row(B), _row(E5, False), _row(E3, False)
+def _attempt(n: int):
+    """The DOP853 attempt for states of n components, generated once per n.
+    attempt(f, t, y, f0, h), f0 = f(t, y), is the eighth-order state y_new at
+    t + h, after 11 calls of f; attempt(f, t, y, f0, h, rtol, atol) then calls
+    f there and returns (y_new, f(t + h, y_new), n5, n3, sq), or None if y_new
+    or a stage derivative is not finite.  nX sums |eX * (1/w)|**2 and sq
+    |e5|**2 over the components, eX the rows EX of the derivatives and w =
+    atol + rtol*max(|y|, |y_new|).  abs is this module's, looked up per call."""
+    attempt = _ATTEMPTS.get(n)
+    if attempt is None:
+        comps = range(n)
+
+        def row(coeffs, j):  # coefficients by repr, which round-trips a double
+            return " + ".join("%r * k%d_%d" % (a, s, j) for s, a in coeffs.items())
+
+        def names(stem):
+            return "".join("%s%d, " % (stem, j) for j in comps)
+
+        body = ["%s= y" % names("y"), "%s= f0" % names("k0_")]
+        body += ["%s= f(t + %r * h, [%s])" % (names("k%d_" % i), C[i], ", ".join(
+            "y%d + h * (%s)" % (j, row(A[i], j)) for j in comps)) for i in range(1, 12)]
+        body += ["z%d = y%d + h * (%s)" % (j, j, row(B, j)) for j in comps]
+        body += ["y_new = [%s]" % names("z"), "if rtol is None:", "    return y_new",
+                 "%s= k12 = f(t + h, y_new)" % names("k12_"),
+                 "if not all(map(cmath.isfinite, (%s%s))):" % (
+                     names("z"), "".join(names("k%d_" % i) for i in range(1, 13))),
+                 "    return None", "n5 = n3 = sq = 0.0"]
+        for j in comps:
+            body += ["w = 1.0 / (atol + rtol * max(abs(y%d), abs(z%d)))" % (j, j),
+                     "e = %s" % row(E5, j), "r5 = abs(e * w)",
+                     "r3 = abs((%s) * w)" % row(E3, j),
+                     "n5 += r5 * r5", "n3 += r3 * r3", "sq += abs(e) ** 2"]
+        body.append("return y_new, k12, n5, n3, sq")
+        namespace: dict = {}
+        exec("def attempt(f, t, y, f0, h, rtol=None, atol=None):\n    "
+             + "\n    ".join(body), globals(), namespace)
+        _ATTEMPTS[n] = attempt = namespace["attempt"]
+    return attempt
+
+
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -144,15 +168,6 @@ class IntegrationBlowUp(ArithmeticError):
 
 # One accepted step, from y_old at t_old to the next mesh point.
 _Step = namedtuple("_Step", "t_old h y_old")
-
-
-def _step(f, t, y, f0, h):
-    """One step of size h from (t, y), f0 = f(t, y): the derivatives of
-    stages 0-11, which calls f 11 times, and the eighth-order state at t + h."""
-    k = [f0]
-    for c, advance in _STEP_STAGES:
-        k.append(f(t + c * h, advance(y, h, k)))
-    return k, _B(y, h, k)
 
 
 class RkSolution:
@@ -187,7 +202,7 @@ class RkSolution:
             return list(self.ys[idx])
         t_old, _, y_old = self.steps[idx]
         self.rhs_evals += 12
-        return _step(self.f, t_old, y_old, self.f(t_old, y_old), t - t_old)[1]
+        return _attempt(len(y_old))(self.f, t_old, y_old, self.f(t_old, y_old), t - t_old)
 
 
 class Trajectory:
@@ -228,39 +243,16 @@ def _weights(y, y_new, rtol, atol) -> list:
     return [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
 
 
-def _sum_scaled_squares(e, scale) -> float:
-    """Sum of |e/scale|**2, in component order.  Each e is multiplied by
-    1/scale rather than divided, as numpy's complex division rounds: real
-    and imaginary-axis flows then step exactly as the numpy reference
-    implementation in the tests does."""
+def _rms_scaled(e, scale) -> float:
+    """Root mean square of e/scale.  Each e is multiplied by 1/scale rather
+    than divided, as numpy's complex division rounds, and so are the error
+    sums of _attempt: real and imaginary-axis flows then step exactly as the
+    numpy reference implementation in the tests does."""
     total = 0.0
     for a, s in zip(e, scale):
         r = abs(a * (1.0 / s))
         total += r * r
-    return total
-
-
-def _rms_scaled(e, scale) -> float:
-    """Root mean square of e/scale."""
-    return math.sqrt(_sum_scaled_squares(e, scale) / len(scale))
-
-
-def _error_norm(e5, e3, h, scale):
-    """(err, err_est) of one step.  err is Hairer's combined estimate
-    |h| n5 / sqrt(n (n5 + 0.01 n3)), nX the sum of |eX/scale|**2: the RMS
-    of the vector rho h e5 over the weights, rho = sqrt(n5 / (n5 + 0.01 n3)).
-    err_est is the plain RMS of that vector, at most err * max(scale)."""
-    n5 = _sum_scaled_squares(e5, scale)
-    n3 = _sum_scaled_squares(e3, scale)
-    if n5 == 0.0:
-        return 0.0, 0.0
-    denom = n5 + 0.01 * n3
-    err = abs(h) * n5 / math.sqrt(len(scale) * denom)
-    total = 0.0  # left to right: Python 3.12's float sum() compensates
-    for a in e5:
-        total += abs(a) ** 2
-    raw = math.sqrt(total / len(e5))
-    return err, abs(h) * math.sqrt(n5 / denom) * raw
+    return math.sqrt(total / len(scale))
 
 
 def _finite(values) -> bool:
@@ -287,25 +279,30 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     """Integrate dy/dt = f(t, y) from t0 to t1 (t1 > t0), complex y allowed.
 
     f receives the state as a list of complex and may return any sequence
-    of numbers of the same length.  A step is accepted when the combined
-    error norm (see _error_norm) is at most 1 with weights atol +
-    rtol*max(|y|, |y_new|).  err_ests records, for each accepted step, the
-    root mean square of the error vector that norm accepted, so each is at
-    most atol + rtol*max|y| over the step's two ends.  ts and err_ests hold
-    floats and ys lists of complex, so callers need not convert them.
+    of numbers of the same length; ValueError if f(t0, y0) has another.  A
+    step is accepted when Hairer's combined error norm (below) is at most 1
+    with weights atol + rtol*max(|y|, |y_new|).  err_ests records, for each
+    accepted step, the root mean square of the error vector that norm
+    accepted, so each is at most atol + rtol*max|y| over the step's two ends.
+    ts and err_ests hold floats and ys lists of complex, so callers need not
+    convert them.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
     y = [complex(v) for v in y0]
+    n = len(y)
     t = float(t0)
     span = t1 - t0
     f_cur = f(t, y)
+    if len(f_cur) != n:
+        raise ValueError("f returned %d components for a state of %d" % (len(f_cur), n))
     if not _finite(f_cur):
         raise IntegrationBlowUp("non-finite derivative at the initial point", t, y, 1, 0)
     h = min(_initial_step(f, t, y, f_cur, span, rtol, atol), max_step)
     h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
+    attempt = _attempt(n)
 
     ts = [t]
     ys = [y]
@@ -328,16 +325,24 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
             raise blow_up(
                 "step size underflow at t=%g (|y|=%g): solution blow-up" % (t, max(map(abs, y))))
         attempts += 1
-        k, y_new = _step(f, t, y, f_cur, h)
-        k.append(f(t + h, y_new))
-        if not _finite(chain(y_new, *k[1:])):
+        result = attempt(f, t, y, f_cur, h, rtol, atol)
+        if result is None:
             raise blow_up("non-finite state at t=%g: solution blow-up" % (t + h))
-        err, err_est = _error_norm(_E5(k), _E3(k), h, _weights(y, y_new, rtol, atol))
+        y_new, f_new, n5, n3, sq = result
+        # |h| n5 / sqrt(n (n5 + 0.01 n3)) is the RMS over the weights of
+        # rho h e5, rho = sqrt(n5 / (n5 + 0.01 n3)); err_est is the plain RMS
+        # of that vector, at most err * max(weight)
+        if n5 == 0.0:
+            err = err_est = 0.0
+        else:
+            denom = n5 + 0.01 * n3
+            err = abs(h) * n5 / math.sqrt(n * denom)
+            err_est = abs(h) * math.sqrt(n5 / denom) * math.sqrt(sq / n)
         if err <= 1.0:
             steps.append(_Step(t_old=t, h=h, y_old=y))
             t = t + h
             y = y_new
-            f_cur = k[12]  # FSAL
+            f_cur = f_new  # FSAL
             ts.append(t)
             ys.append(y)
             err_ests.append(err_est)

@@ -19,7 +19,6 @@ from test_rk import (  # noqa: E402
     assert_same_mesh,
     dh_segment_mesh,
     dh_segment_rhs,
-    numpy_error_norm,
     numpy_integrate,
     numpy_rms_scaled,
 )
@@ -42,17 +41,17 @@ def numpy_weights(y, y_new, rtol, atol):
 
 
 @contextlib.contextmanager
-def numpy_norms():
-    """rk's error weights and weighted norms computed by numpy."""
-    with mock.patch.object(rk, "_weights", numpy_weights), mock.patch.object(
-        rk, "_rms_scaled",
-        lambda e, scale: numpy_rms_scaled(np.asarray(e, dtype=complex), np.asarray(scale)),
-    ), mock.patch.object(
-        rk, "_error_norm",
-        lambda e5, e3, h, scale: numpy_error_norm(
-            np.asarray(e5, dtype=complex), np.asarray(e3, dtype=complex), h, np.asarray(scale)),
-    ):
-        yield
+def numpy_abs():
+    """rk's abs, in its error weights and sums, rounded as numpy's; yields a
+    one-item list counting its calls."""
+    calls = [0]
+
+    def np_abs(x):
+        calls[0] += 1
+        return float(np.abs(x))
+
+    with mock.patch.object(rk, "abs", np_abs, create=True):
+        yield calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,12 +60,15 @@ def test_dh_mesh_matches_numpy_with_its_error_norm(tau0, tau1, tol):
     # numpy's complex abs is sqrt(fma(r, r, 1)) * max(|re|, |im|), which plain
     # Python cannot round alike; the error estimate's cancellation blows a
     # last-bit difference up to ~1e-8 in the step sizes.  With numpy's
-    # rounding of the weighted norms the stepping is otherwise the same
-    # arithmetic, so the meshes agree.
+    # rounding of abs in the weights and error sums the stepping is otherwise
+    # the same arithmetic, so the meshes agree.
     assume(abs(tau1 - tau0) > 1e-3)
     initial = tuple(dh.dh_theta_solution(tau0))
-    with numpy_norms():
+    with numpy_abs() as calls:
         traj = dh.dh_integrate(initial, tau0, tau1, tol=tol)
+    # five per component per attempt: |y|, |y_new|, |e5 w|, |e3 w| and |e5|
+    attempts = (traj._solution.rhs_evals - 2) // 12
+    assert attempts > 0 and calls[0] >= 5 * 3 * attempts
     ref = numpy_integrate(dh_segment_rhs(tau0, tau1), 0.0, 1.0, initial, tol, tol)
     assert_same_mesh(traj.ts, traj.states, dh_segment_mesh(tau0, tau1, ref), ref.ys)
 
@@ -145,13 +147,35 @@ def left_to_right(row, k, i):
     return total
 
 
-def reference_step(f, t, y, f0, h):
-    """rk._step with every row summed by left_to_right."""
+def reference_attempt(f, t, y, f0, h, rtol, atol):
+    """rk._attempt(len(y)) with every row summed by left_to_right and the
+    error sums by an explicit loop over the components."""
     k = [f0]
     for s in range(1, 12):
         k.append(f(t + rk.C[s] * h, [v + h * left_to_right(rk.A[s], k, i)
                                      for i, v in enumerate(y)]))
-    return k, [v + h * left_to_right(rk.B, k, i) for i, v in enumerate(y)]
+    y_new = [v + h * left_to_right(rk.B, k, i) for i, v in enumerate(y)]
+    k.append(f(t + h, y_new))
+    n5 = n3 = sq = 0.0
+    for i, (v, u) in enumerate(zip(y, y_new)):
+        w = 1.0 / (atol + rtol * max(abs(v), abs(u)))
+        e5, e3 = left_to_right(rk.E5, k, i), left_to_right(rk.E3, k, i)
+        r5, r3 = abs(e5 * w), abs(e3 * w)
+        n5 += r5 * r5
+        n3 += r3 * r3
+        sq += abs(e5) ** 2
+    return y_new, k[12], n5, n3, sq
+
+
+def recorded(attempt, f, *args):
+    """attempt(f', *args) and the (t, y) of each call of f' = f."""
+    calls = []
+
+    def g(t, y):
+        calls.append((t, y))
+        return f(t, y)
+
+    return attempt(g, *args), calls
 
 
 def float_rhs(t, y):
@@ -168,15 +192,15 @@ states = st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([float_rhs, complex_rhs]), st.floats(-10.0, 10.0), states,
-       st.floats(1e-6, 1.0))
-def test_step_sums_each_row_left_to_right(f, t, y, h):
-    # repr tells the sign of a zero, and a float from a complex
-    k, y_new = rk._step(f, t, y, f(t, y), h)
-    k_ref, y_ref = reference_step(f, t, y, k[0], h)
-    assert repr(k) == repr(k_ref) and repr(y_new) == repr(y_ref)
-    k.append(f(t + h, y_new))
-    for compiled, row in ((rk._E5, rk.E5), (rk._E3, rk.E3)):
-        assert repr(compiled(k)) == repr([left_to_right(row, k, i) for i in range(len(y))])
+       st.floats(1e-6, 1.0), tolerances, tolerances)
+def test_step_sums_each_row_left_to_right(f, t, y, h, rtol, atol):
+    # the stage inputs, y_new, f there and the error sums n5, n3 and sum
+    # |e5|**2; repr tells the sign of a zero, and a float from a complex
+    attempt = rk._attempt(len(y))
+    args = (t, y, f(t, y), h, rtol, atol)
+    got, want = recorded(attempt, f, *args), recorded(reference_attempt, f, *args)
+    assert repr(got) == repr(want)
+    assert repr(recorded(attempt, f, *args[:4])) == repr((want[0][0], want[1][:-1]))
 
 
 # -- cubic roots ---------------------------------------------------------------------------

@@ -205,6 +205,16 @@ def test_mul_adds_grades_and_truncations_take_min():
     assert prod.coeff(3) == 6
 
 
+@pytest.mark.parametrize("coeffs, den", [({0: 1, 2: -7, 5: 3**40}, 1),
+                                         ({0: Fraction(1, 3), 2: 4, 4: -5}, 3)])
+def test_coeff_is_the_reduced_fraction(coeffs, den):
+    a = series(coeffs, 6) * series({0: 1, 1: 2}, 6)
+    assert a.den == den
+    for n in range(7):
+        c = a.coeff(n)
+        assert type(c) is Fraction and c == Fraction(a.num[n], a.den)
+
+
 def test_scalar_multiplication_is_exact_and_rejects_floats():
     a = series({0: 1, 3: 4}, 5)
     assert Fraction(1, 2) * a == series({0: Fraction(1, 2), 3: 2}, 5)

@@ -48,17 +48,51 @@ def test_tableau_matches_scipy_dop853():
     assert np.array_equal(NP_E3, coeffs.E3[:12]) and coeffs.E3[12] == 0
 
 
+def squares(row, power=False):
+    """Sum over components 0-12 of the sparse row's |a|**2, left to right,
+    as a | a | * | a | product or, with power, as abs(a) ** 2."""
+    total = 0.0
+    for i in range(13):
+        r = abs(row.get(i, 0.0))
+        total += r ** 2 if power else r * r
+    return total
+
+
 def test_compiled_rows_return_their_coefficients():
-    # with stage j's derivative the unit vector e_j, y = 0 and h = 1, each
-    # compiled row returns its coefficients, bit for bit
+    # in dimension 13, from y = 0 with h = 1 and stage j's derivative the unit
+    # vector e_j, stage i is f at t = C[i] of row i of A and y_new is B, bit
+    # for bit; with unit weights the error sums are those of E5 and E3
     unit = [[float(i == j) for i in range(13)] for j in range(13)]
-    zero = [0.0] * 13
-    for i, (c, advance) in enumerate(rk._STEP_STAGES, start=1):
-        assert c == C[i]
-        assert advance(zero, 1.0, unit[:i]) == list(NP_A[i])
-    assert rk._B(zero, 1.0, unit) == list(NP_A[12])
-    assert rk._E5(unit) == list(NP_E5) + [0.0]
-    assert rk._E3(unit) == list(NP_E3) + [0.0]
+    calls = []
+
+    def f(t, y):
+        calls.append((t, y))
+        return unit[len(calls)]
+
+    y_new, k12, n5, n3, sq = rk._attempt(13)(f, 0.0, [0.0] * 13, unit[0], 1.0, 0.0, 1.0)
+    assert [t for t, _ in calls] == list(C[1:])
+    for i, (_, y) in enumerate(calls, start=1):
+        assert y == NP_A[i].tolist()
+    assert calls[-1][1] is y_new and k12 is unit[12]
+    assert (n5, n3, sq) == (squares(E5), squares(E3), squares(E5, power=True))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_rhs_of_the_wrong_length_is_refused(size):
+    # zip would drop the components past the shorter of state and derivative
+    with pytest.raises(ValueError, match="f returned %d components for a state of 3" % size):
+        integrate(lambda t, y: [-v for v in y + y][:size], 0.0, 1.0, [1, 2, 3], 1e-8, 1e-8)
+
+
+def test_rhs_that_changes_length_is_refused():
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return [-v for v in y][:2 if len(calls) > 5 else 3]
+
+    with pytest.raises(ValueError, match="expected 3"):
+        integrate(f, 0.0, 1.0, [1, 2, 3], 1e-8, 1e-8)
 
 
 def test_at_meets_both_ends_of_each_step():
