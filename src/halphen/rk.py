@@ -141,7 +141,6 @@ def _attempt(n: int):
     return attempt
 
 
-
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
