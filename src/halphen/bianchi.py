@@ -102,9 +102,9 @@ class MetricCoeffs(namedtuple("MetricCoeffs", "c1 c2 c3")):
 OmegaAState = namedtuple("OmegaAState", "omega a")
 
 
-class TodHitchinParams(namedtuple("TodHitchinParams", "p q lam q0", defaults=(1.0, 0.0))):
-    """Characteristics (p, q) of the two-parameter solution family, the
-    cosmological constant and the shift of the flat family."""
+class TodHitchinParams(namedtuple("TodHitchinParams", "p q lam", defaults=(1.0,))):
+    """Characteristics (p, q) of the two-parameter solution family and the
+    cosmological constant."""
 
     __slots__ = ()
 

@@ -11,8 +11,8 @@ Blow-up - a non-finite state or a step size driven below machine resolution
 - raises IntegrationBlowUp instead of silently clipping, and so does a spent
 step budget (MAX_STEPS), which is stiffness or a long span, not a blow-up.
 
-Pure Python: states are lists of complex, and f(t, y) receives such a list
-and may return any sequence of numbers of the state's length.  For each
+Pure Python: states are tuples of complex, and f(t, y) receives such a
+tuple and may return any sequence of numbers of the state's length.  For each
 length, one attempted step is generated as straight-line code on scalars,
 as DOP853 writes it: per component, each stage sum term by term, added left
 to right in stage order (explicit +, not sum(), which compensates float sums
@@ -27,7 +27,6 @@ import bisect
 import cmath
 import math
 import sys
-from collections import namedtuple
 
 __all__ = ["IntegrationBlowUp", "RkSolution", "Trajectory", "integrate"]
 
@@ -120,10 +119,10 @@ def _attempt(n: int):
             return "".join("%s%d, " % (stem, j) for j in comps)
 
         body = ["%s= y" % names("y"), "%s= f0" % names("k0_")]
-        body += ["%s= f(t + %r * h, [%s])" % (names("k%d_" % i), C[i], ", ".join(
-            "y%d + h * (%s)" % (j, row(A[i], j)) for j in comps)) for i in range(1, 12)]
+        body += ["%s= f(t + %r * h, (%s))" % (names("k%d_" % i), C[i], "".join(
+            "y%d + h * (%s), " % (j, row(A[i], j)) for j in comps)) for i in range(1, 12)]
         body += ["z%d = y%d + h * (%s)" % (j, j, row(B, j)) for j in comps]
-        body += ["y_new = [%s]" % names("z"), "if rtol is None:", "    return y_new",
+        body += ["y_new = (%s)" % names("z"), "if rtol is None:", "    return y_new",
                  "%s= k12 = f(t + h, y_new)" % names("k12_"),
                  "if not all(map(cmath.isfinite, (%s%s))):" % (
                      names("z"), "".join(names("k%d_" % i) for i in range(1, 13))),
@@ -165,13 +164,10 @@ class IntegrationBlowUp(ArithmeticError):
         self.steps_rejected = steps_rejected
 
 
-# One accepted step, from y_old at t_old to the next mesh point.
-_Step = namedtuple("_Step", "t_old h y_old")
-
-
 class RkSolution:
-    """Accepted mesh (ts, ys), per-step local error estimates, the accepted
-    steps, and the right-hand side f that at() steps with between mesh points.
+    """Accepted mesh (ts, ys), per-step local error estimates, the size h of
+    each accepted step, and the right-hand side f that at() steps with
+    between mesh points.
 
     rhs_evals counts the calls of f, at()'s included, and steps_rejected the
     attempted steps the controller refused; the accepted ones are the steps."""
@@ -187,7 +183,7 @@ class RkSolution:
         self.rhs_evals = rhs_evals
         self.steps_rejected = steps_rejected
 
-    def at(self, t: float) -> list:
+    def at(self, t: float) -> tuple:
         """State at t inside the integrated interval.  At a mesh point or the
         end of the mesh it is that mesh state; elsewhere it is one step of
         the method from the last mesh point before t to t, 12 calls of f and
@@ -197,9 +193,9 @@ class RkSolution:
         if not (t0 - 1e-12 <= t <= t1 + 1e-12):
             raise ValueError("t=%g outside integrated interval [%g, %g]" % (t, t0, t1))
         idx = max(bisect.bisect_right(self.ts, t) - 1, 0)
-        if idx == len(self.steps) or t == self.ts[idx]:
-            return list(self.ys[idx])
-        t_old, _, y_old = self.steps[idx]
+        t_old, y_old = self.ts[idx], self.ys[idx]
+        if idx == len(self.steps) or t == t_old:
+            return y_old
         self.rhs_evals += 12
         return _attempt(len(y_old))(self.f, t_old, y_old, self.f(t_old, y_old), t - t_old)
 
@@ -208,13 +204,13 @@ class Trajectory:
     """The accepted mesh of an RkSolution in the caller's variable
     x = x0 + s*dx, s the integrator's real variable: a complex tau-segment
     takes (tau0, tau1 - tau0), real time (0, 1).  ts holds x at the mesh
-    points, states the mesh states as tuples."""
+    points, states the solution's mesh states."""
 
     __slots__ = ("ts", "states", "err_ests", "_x0", "_dx", "_solution")
 
     def __init__(self, solution: RkSolution, x0, dx):
         self.ts = [x0 + s * dx for s in solution.ts]
-        self.states = [tuple(y) for y in solution.ys]
+        self.states = solution.ys
         self.err_ests = solution.err_ests
         self._x0 = x0
         self._dx = dx
@@ -234,12 +230,7 @@ class Trajectory:
         s = (x - self._x0) / self._dx
         if abs(s.imag) > 1e-9:
             raise ValueError("%r is not on the integrated segment" % (x,))
-        return tuple(self._solution.at(s.real))
-
-
-def _weights(y, y_new, rtol, atol) -> list:
-    """Error weights atol + rtol*max(|y|, |y_new|), componentwise."""
-    return [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+        return self._solution.at(s.real)
 
 
 def _rms_scaled(e, scale) -> float:
@@ -254,16 +245,12 @@ def _rms_scaled(e, scale) -> float:
     return math.sqrt(total / len(scale))
 
 
-def _finite(values) -> bool:
-    return all(map(cmath.isfinite, values))
-
-
 def _initial_step(f, t0, y0, f0, t_span, rtol, atol):
-    scale = _weights(y0, y0, rtol, atol)
+    scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms_scaled(y0, scale)
     d1 = _rms_scaled(f0, scale)
     h0 = 1e-6 * t_span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = [v + h0 * d for v, d in zip(y0, f0)]
+    y1 = tuple(v + h0 * d for v, d in zip(y0, f0))
     f1 = f(t0 + h0, y1)
     d2 = _rms_scaled([a - b for a, b in zip(f1, f0)], scale) / h0
     if max(d1, d2) <= 1e-15:
@@ -277,27 +264,33 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
               max_step: float = math.inf) -> RkSolution:
     """Integrate dy/dt = f(t, y) from t0 to t1 (t1 > t0), complex y allowed.
 
-    f receives the state as a list of complex and may return any sequence
-    of numbers of the same length; ValueError if f(t0, y0) has another.  A
-    step is accepted when Hairer's combined error norm (below) is at most 1
-    with weights atol + rtol*max(|y|, |y_new|).  err_ests records, for each
-    accepted step, the root mean square of the error vector that norm
-    accepted, so each is at most atol + rtol*max|y| over the step's two ends.
-    ts and err_ests hold floats and ys lists of complex, so callers need not
-    convert them.
+    f receives the state as a tuple of complex and may return any sequence
+    of numbers of the same length; ValueError if f(t0, y0) has another, and
+    before f is called if the span, a tolerance, y0 or max_step is out of
+    range.  A step is accepted when Hairer's combined error norm (below) is
+    at most 1 with weights atol + rtol*max(|y|, |y_new|).  err_ests records,
+    for each accepted step, the root mean square of the error vector that
+    norm accepted, so each is at most atol + rtol*max|y| over the step's
+    two ends.  ts and err_ests hold floats and ys tuples of complex, so
+    callers need not convert them.
     """
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
-    y = [complex(v) for v in y0]
-    n = len(y)
-    t = float(t0)
     span = t1 - t0
+    if not 0 < span < math.inf:
+        raise ValueError("t1 - t0 must be positive and finite")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("tolerances must be positive and finite")
+    y = tuple(complex(v) for v in y0)
+    n = len(y)
+    if not n:
+        raise ValueError("the state has no components")
+    if not span <= MAX_STEPS * max_step:  # also a max_step of 0, below 0 or NaN
+        raise ValueError("max_step too small: the span takes %.3g steps, more than MAX_STEPS=%d"
+                         % (span / max_step if max_step > 0 else math.inf, MAX_STEPS))
+    t = float(t0)
     f_cur = f(t, y)
     if len(f_cur) != n:
         raise ValueError("f returned %d components for a state of %d" % (len(f_cur), n))
-    if not _finite(f_cur):
+    if not all(map(cmath.isfinite, f_cur)):
         raise IntegrationBlowUp("non-finite derivative at the initial point", t, y, 1, 0)
     h = min(_initial_step(f, t, y, f_cur, span, rtol, atol), max_step)
     h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
@@ -306,7 +299,7 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     ts = [t]
     ys = [y]
     err_ests = [0.0]
-    steps: list[_Step] = []
+    steps: list[float] = []
     err_prev = 1e-4
     rejected = False
     attempts = 0
@@ -338,7 +331,7 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
             err = abs(h) * n5 / math.sqrt(n * denom)
             err_est = abs(h) * math.sqrt(n5 / denom) * math.sqrt(sq / n)
         if err <= 1.0:
-            steps.append(_Step(t_old=t, h=h, y_old=y))
+            steps.append(h)
             t = t + h
             y = y_new
             f_cur = f_new  # FSAL

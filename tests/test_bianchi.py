@@ -316,7 +316,7 @@ def test_omega_flow_computes_A_once_per_distinct_stage_time(initial, t0, t1, tol
         assert spy.call_count == 2 + 11 * attempted + 24
         assert sol.rhs_evals == ref.rhs_evals + 24
     assert traj.ts == ref.ts
-    assert traj.states == [tuple(y) for y in ref.ys]
+    assert traj.states == ref.ys
 
 
 def test_omega_flow_validates_arguments():

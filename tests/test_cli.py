@@ -84,6 +84,9 @@ def test_negative_value_after_flag(capsys):
         ("dh theta --tau=0,-1", EXIT_USAGE),
         ("dh integrate --t0=0,1 --t1=0,1", EXIT_USAGE),
         ("dh integrate --t0 0,1.2 --t1 0,2 --max-step 0", EXIT_USAGE),
+        # a --max-step too small for MAX_STEPS steps to cover the span
+        ("dh integrate --t0 0,1 --t1 0,2 --max-step 1e-6", EXIT_USAGE),
+        ("bianchi flow --t0 0.7 --t1 2 --initial 1,0.5,0.25 --max-step 1e-6", EXIT_USAGE),
         ("bianchi flat-family --q0 0.3 --steps 0", EXIT_USAGE),
         ("bianchi flat-family --q0=-1 --t0 0.5 --t1 1.5 --steps 3", EXIT_USAGE),  # pole
         ("bianchi flow --t0 0.7 --t1 0.5 --initial 1,0.5,0.25", EXIT_USAGE),

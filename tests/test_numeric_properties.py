@@ -152,9 +152,9 @@ def reference_attempt(f, t, y, f0, h, rtol, atol):
     error sums by an explicit loop over the components."""
     k = [f0]
     for s in range(1, 12):
-        k.append(f(t + rk.C[s] * h, [v + h * left_to_right(rk.A[s], k, i)
-                                     for i, v in enumerate(y)]))
-    y_new = [v + h * left_to_right(rk.B, k, i) for i, v in enumerate(y)]
+        k.append(f(t + rk.C[s] * h, tuple(v + h * left_to_right(rk.A[s], k, i)
+                                          for i, v in enumerate(y))))
+    y_new = tuple(v + h * left_to_right(rk.B, k, i) for i, v in enumerate(y))
     k.append(f(t + h, y_new))
     n5 = n3 = sq = 0.0
     for i, (v, u) in enumerate(zip(y, y_new)):
@@ -187,7 +187,7 @@ def complex_rhs(t, y):
 
 
 states = st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
-                                     allow_infinity=False), min_size=1, max_size=5)
+                                     allow_infinity=False), min_size=1, max_size=5).map(tuple)
 
 
 @settings(max_examples=100, deadline=None)

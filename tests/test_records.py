@@ -22,7 +22,6 @@ RECORDS = [
     gauss_manin.gm_matrix((1, 2, 3)),
     qseries.ThetaCharacteristics(0, 0, 1j),
     ramanujan.EisensteinState(1, 2, 3),
-    rk._Step(0.0, 0.1, [1j]),
 ]
 
 
@@ -38,7 +37,7 @@ def test_records_are_immutable_tuples(record):
 
 def test_records_coerce_and_default():
     assert all(type(v) is complex for v in qseries.ThetaCharacteristics(0, 1, 1j))
-    assert bianchi.TodHitchinParams(0.25, 0.5)[2:] == (1.0, 0.0)
+    assert bianchi.TodHitchinParams(0.25, 0.5)[2:] == (1.0,)
 
 
 def test_meshes_are_sized_by_their_points():
@@ -47,7 +46,9 @@ def test_meshes_are_sized_by_their_points():
     sol = flow._solution
     assert len(traj) == len(traj.ts) == len(traj.states) > 3
     assert len(flow) == len(flow.ts) == len(flow.states) > 3
-    assert traj.at(1.2j) == traj.states[0]
+    assert all(type(y) is tuple for y in traj.states + flow.states)
+    assert traj.at(1.2j) is traj.states[0]  # the mesh state itself, not a copy
+    assert flow.states is sol.ys
     for mesh in (traj, flow, sol):
         with pytest.raises(AttributeError):
             mesh.extra = None
