@@ -523,8 +523,13 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print("invalid input: cannot write %s: %s" % (args.out, exc.strerror or exc),
+                  file=sys.stderr)
+            return EXIT_USAGE
         print("wrote %s (%s)" % (args.out, "ok" if ok else "RESIDUAL FAILURE"))
     else:
         sys.stdout.write(payload)

@@ -85,10 +85,11 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
     """Integrate the flow along the straight segment tau0 -> tau1.
 
     The segment is parameterised by arc fraction s in [0, 1]; tolerances
-    are applied as both absolute and relative.  The trajectory's ts are
-    the mesh points' tau.  Blow-up (the flow has movable poles) raises
-    rk.IntegrationBlowUp with the last trusted tau, as does a spent step
-    budget, reported as the integration stopping.
+    are applied as both absolute and relative, and max_step, in |tau|, goes
+    to rk.integrate as max_step/|tau1 - tau0|, which refuses a NaN.  The
+    trajectory's ts are the mesh points' tau.  rk.IntegrationBlowUp (the
+    flow has movable poles, or the step budget is spent) is re-raised with
+    the last trusted tau prefixed to its message.
     """
     from . import rk  # here, so the commands that never integrate skip it
 
@@ -101,19 +102,13 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
     def f(s, y):
         return [dtau * v for v in dh_vector_field(y)]
 
-    s_max = max_step / abs(dtau) if math.isfinite(max_step) else math.inf
     try:
-        sol = rk.integrate(f, 0.0, 1.0, initial, rtol=tol, atol=tol, max_step=s_max)
+        sol = rk.integrate(f, 0.0, 1.0, initial, rtol=tol, atol=tol,
+                           max_step=max_step / abs(dtau))
     except rk.IntegrationBlowUp as exc:
-        # a spent step budget is not a blow-up; rk's message says why
-        what = "integration stopped" if str(exc).startswith("step budget") else "blow-up"
-        raise rk.IntegrationBlowUp(
-            "Darboux-Halphen %s near tau=%r: %s" % (what, t0 + exc.t_reached * dtau, exc),
-            exc.t_reached,
-            exc.y_reached,
-            exc.rhs_evals,
-            exc.steps_rejected,
-        ) from exc
+        exc.args = ("Darboux-Halphen integration stopped near tau=%r: %s"
+                    % (t0 + exc.t_reached * dtau, exc),)
+        raise
     return rk.Trajectory(sol, t0, dtau)
 
 

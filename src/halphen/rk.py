@@ -9,7 +9,7 @@ state vector may be complex; the independent variable is real (callers
 integrating along a complex segment parameterise it by arc fraction).
 Blow-up - a non-finite state or a step size driven below machine resolution
 - raises IntegrationBlowUp instead of silently clipping, and so does a spent
-step budget (MAX_STEPS), which is stiffness or a long span, not a blow-up.
+budget of MAX_STEPS attempted steps (stiffness or a long span, not a blow-up).
 
 Pure Python: states are tuples of complex, and f(t, y) receives such a
 tuple and may return any sequence of numbers of the state's length.  For each
@@ -149,11 +149,10 @@ MAX_STEPS = 200_000
 
 
 class IntegrationBlowUp(ArithmeticError):
-    """Raised when the solution leaves the resolvable regime.
-
-    Attributes carry the last trusted point so callers can report how far
-    the integration got, and what it cost: calls of f and rejected steps.
-    """
+    """Raised when the solution leaves the resolvable regime, or when the
+    step budget is spent.  Attributes carry the last trusted point so callers
+    can report how far the integration got, and what it cost: calls of f and
+    rejected steps."""
 
     def __init__(self, message: str, t_reached: float, y_reached, rhs_evals: int,
                  steps_rejected: int):
@@ -272,7 +271,8 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     for each accepted step, the root mean square of the error vector that
     norm accepted, so each is at most atol + rtol*max|y| over the step's
     two ends.  ts and err_ests hold floats and ys tuples of complex, so
-    callers need not convert them.
+    callers need not convert them.  The budget of MAX_STEPS attempted steps
+    is checked before each attempt, so arriving on the last one succeeds.
     """
     span = t1 - t0
     if not 0 < span < math.inf:
@@ -308,10 +308,11 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
         """IntegrationBlowUp at the last accepted point, with the counts so far."""
         return IntegrationBlowUp(message, t, y, 2 + 12 * attempts, attempts - len(steps))
 
-    for _ in range(MAX_STEPS):
-        # a final sliver below machine resolution counts as arrival, not underflow
-        if t >= t1 or t1 - t < h_min:
-            break
+    # a final sliver below machine resolution counts as arrival, not underflow
+    while t1 - t >= h_min:
+        if attempts == MAX_STEPS:
+            raise blow_up("step budget exhausted at t=%g after MAX_STEPS=%d steps: the flow "
+                          "may be stiff or the span too long" % (t, MAX_STEPS))
         h = min(h, t1 - t, max_step)
         if h < h_min:
             raise blow_up(
@@ -348,9 +349,6 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
         else:
             rejected = True
             h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
-    else:
-        raise blow_up("step budget exhausted at t=%g after MAX_STEPS=%d steps: the flow "
-                      "may be stiff or the span too long" % (t, MAX_STEPS))
 
     return RkSolution(ts=ts, ys=ys, err_ests=err_ests, steps=steps, f=f,
                       rhs_evals=2 + 12 * attempts, steps_rejected=attempts - len(steps))

@@ -100,6 +100,7 @@ def test_negative_value_after_flag(capsys):
         ("dh integrate --t0 0,1 --t1 0,2 --initial 1,0,1,0,nan,0", EXIT_USAGE),
         ("bianchi flow --t0 0.7 --t1 2 --initial 1,inf,0.25", EXIT_USAGE),
         ("bianchi flat-family --q0 nan", EXIT_USAGE),
+        ("dh theta --tau 0,1 --out .", EXIT_USAGE),  # --out cannot be written
         ("dh integrate --t0 0,1 --t1 2,1 --initial 1,0,1,0,1,0", EXIT_NUMERIC),  # blow-up
         ("bianchi flow --t0 0.7 --t1 2 --initial=-10,-10,-10", EXIT_NUMERIC),  # blow-up
         ("series eisenstein --k 4 --order %d" % (MAX_ORDER + 1), EXIT_USAGE),

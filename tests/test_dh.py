@@ -17,7 +17,7 @@ from halphen.dh import (
     dh_vector_field,
 )
 from halphen.qseries import PiGradedQSeries, eisenstein_series, eval_series, log_unit, theta_series
-from halphen import rk
+from halphen import dh, rk
 from halphen.rk import IntegrationBlowUp
 from halphen.sampling import random_state
 
@@ -200,7 +200,10 @@ def test_integrate_reports_blowup():
     # tau0 + 1, inside the segment below.
     with pytest.raises(IntegrationBlowUp) as exc:
         dh_integrate((1, 1, 1), 1j, 2 + 1j, tol=1e-8)
-    assert "Darboux-Halphen blow-up near tau=" in str(exc.value)
+    msg = str(exc.value)
+    assert msg.startswith("Darboux-Halphen integration stopped near tau=")
+    assert "solution blow-up" in msg
+    assert 0 < exc.value.t_reached < 1
 
 
 def test_integrate_spent_step_budget_is_not_a_blowup(monkeypatch):
@@ -217,13 +220,20 @@ def test_integrate_spent_step_budget_is_not_a_blowup(monkeypatch):
     assert exc.value.rhs_evals == 2 + 12 * 50  # every attempt of the budget
 
 
-def test_integrate_validates_arguments():
+def test_integrate_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
         dh_integrate((0, 0, 0), 1j, 2j, tol=-1.0)
     with pytest.raises(ValueError):
         dh_integrate((0, 0, 0), -1j, 2j, tol=1e-8)
     with pytest.raises(ValueError):
         dh_integrate((0, 0, 0), 1j, 1j, tol=1e-8)
+    # a NaN max_step is refused before the field is called, not read as no cap
+    def field(state):
+        raise AssertionError("field called")
+
+    monkeypatch.setattr(dh, "dh_vector_field", field)
+    with pytest.raises(ValueError, match="max_step too small"):
+        dh_integrate((0, 0, 0), 1j, 2j, tol=1e-8, max_step=math.nan)
 
 
 def test_state_iteration():

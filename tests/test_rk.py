@@ -164,6 +164,24 @@ def test_blowup_is_reported():
     assert exc.value.rhs_evals > 2 and (exc.value.rhs_evals - 2) % 12 == 0
 
 
+def test_arrival_on_the_last_allowed_attempt_succeeds(monkeypatch):
+    # with f = 0 the steps grow 1e-6, 1e-5, ... up to max_step: 15 attempts,
+    # all accepted, reach t1
+    def zero(t, y):
+        return [0j]
+
+    monkeypatch.setattr(rk, "MAX_STEPS", 15)
+    sol = integrate(zero, 0.0, 1.0, [1.0], 1e-8, 1e-8, max_step=0.1)
+    assert len(sol.steps) == 15 and sol.steps_rejected == 0
+    assert sol.rhs_evals == 2 + 12 * 15 == 182
+    assert abs(sol.ts[-1] - 1.0) < 16 * 2.0 ** -52
+    monkeypatch.setattr(rk, "MAX_STEPS", 14)
+    with pytest.raises(IntegrationBlowUp, match="step budget exhausted") as exc:
+        integrate(zero, 0.0, 1.0, [1.0], 1e-8, 1e-8, max_step=0.1)
+    assert exc.value.rhs_evals == 2 + 12 * 14 == 170
+    assert exc.value.steps_rejected == 0 and exc.value.t_reached < 1.0
+
+
 def test_error_estimates_recorded():
     sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0 + 0j], rtol=1e-9, atol=1e-11)
     assert len(sol.err_ests) == len(sol.ts)

@@ -16,7 +16,7 @@ BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 # Exported names with no consumer in the library or the benchmark, each
 # with the ROADMAP open item that keeps it
 UNCONSUMED_EXPORTS = {
-    ("bianchi", name): "item 2: Bianchi IX content awaiting a CLI consumer (items 4 and 5)"
+    ("bianchi", name): "item 2: Bianchi IX content awaiting a CLI consumer (items 7 and 8)"
     for name in (
         "SELF_DUAL",
         "ANTI_SELF_DUAL",
@@ -31,7 +31,7 @@ UNCONSUMED_EXPORTS = {
         "lambda_conformal_factor",
     )
 }
-UNCONSUMED_EXPORTS[("qseries", "theta_eval_tail_bound")] = "item 6: first caller, or deleted"
+UNCONSUMED_EXPORTS[("qseries", "theta_eval_tail_bound")] = "item 9: first caller, or deleted"
 UNCONSUMED_EXPORTS[("frobenius", "structure_constants")] = "item 2: the WDVV algebra's table"
 UNCONSUMED_EXPORTS[("frobenius", "associativity_residual")] = "item 2: the WDVV algebra's table"
 
