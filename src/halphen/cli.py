@@ -322,15 +322,20 @@ def cmd_bianchi_verify_constraint(args):
     satisfied = abs(residual) < args.tol * scale
 
     # structural checks: the left side is quadratic in Omega, and the theta
-    # prefactors agree with the exact series evaluations (exactly, where
-    # both underflow to 0.0 at large t).
+    # prefactors agree with exact series taken to the first doubled order
+    # whose tail bound is 1e-14 of the value, or to MAX_ORDER (exactly,
+    # where both underflow to 0.0 at large t).
     lhs2, rhs2 = bianchi.constraint_lhs_rhs(tuple(2 * o for o in omega), args.t)
     quad_ok = abs(lhs2 - 4 * lhs) < 1e-9 * max(1.0, abs(lhs)) and rhs2 == rhs
     theta_ok = True
+    tau = 1j * args.t
     for which, (r, s) in {2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}.items():
-        ch = qseries.ThetaCharacteristics(r, s, 1j * args.t)
-        want = qseries.eval_series(qseries.theta_series(which, 400), 1j * args.t)
-        theta_ok &= abs(qseries.theta_char_eval(ch) - want) <= 1e-12 * abs(want)
+        got = qseries.theta_char_eval(qseries.ThetaCharacteristics(r, s, tau))
+        order, target = 1, 1e-14 * abs(got)
+        while order < MAX_ORDER and qseries.theta_eval_tail_bound(which, order, tau) > target:
+            order = min(2 * order, MAX_ORDER)
+        want = qseries.eval_series(qseries.theta_series(which, order), tau)
+        theta_ok &= abs(got - want) <= 1e-12 * abs(want)
 
     ok = satisfied and quad_ok and theta_ok
     results = {
@@ -360,13 +365,13 @@ def cmd_frobenius_cubic(args):
     from . import dh, frobenius
     coeffs = frobenius.dh_cubic(frobenius.chazy_gamma_jet(args.tau))
     theta = dh.dh_theta_solution(args.tau)
-    distance = frobenius.root_set_distance(frobenius.cubic_roots(coeffs), theta)
+    residual = frobenius.root_residual(coeffs, theta)
     results = {
         "cubic_coefficients": [complex(c) for c in coeffs],
-        "root_set_distance": distance,
+        "root_residual": residual,
         "theta_solution": theta,
     }
-    return results, distance < args.tol, None
+    return results, residual < args.tol, None
 
 
 # -- wiring ------------------------------------------------------------------------

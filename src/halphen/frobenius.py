@@ -20,6 +20,10 @@ and the flow components t_i are the roots of
 
     y^3 - (3/2) gamma y^2 + (3/2) gamma' y - (1/4) gamma'' = 0.
 
+Its coefficients are checked by Vieta's formulas rather than its roots
+found: that residual is the backward error of the t_i, which unlike a
+distance between root sets does not grow as two roots approach each other.
+
 Everything operates on jets (point values of derivatives): exact series
 supply exact jets where needed and residual checking needs nothing more.
 """
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product
@@ -48,19 +51,14 @@ __all__ = [
     "chazy_gamma_jet",
     "modular_example_jet",
     "dh_cubic",
-    "cubic_roots",
+    "root_residual",
     "dh_cubic_roots_check",
-    "root_set_distance",
 ]
 
 # Largest E2 series order chazy_gamma_jet derives from tau, reached at
 # Im tau of about 0.006; nearer the real axis the order grows without bound
 # and the jet is refused instead.
 MAX_JET_ORDER = 4000
-
-# Cap on the Durand-Kerner sweeps of cubic_roots.  The theta cubics take
-# about seven; a multiple root converges linearly, in up to a few hundred.
-MAX_ROOT_ITERATIONS = 500
 
 
 PotentialJet = namedtuple("PotentialJet", "f_xxx f_xxy f_xyy f_yyy")
@@ -186,57 +184,19 @@ def dh_cubic(g: GammaJet):
     )
 
 
-def cubic_roots(coeffs) -> list:
-    """The three complex roots of a0 z^3 + a1 z^2 + a2 z + a3 (a0 != 0), by
-    Durand-Kerner iteration on the monic normalisation.
-
-    The start points are r (0.4 + 0.9i)^k, k = 0, 1, 2, with r the Cauchy
-    bound 1 + max |a_k/a0|.  They are deliberately asymmetric: the theta
-    cubics of the flow at tau on the imaginary axis have their roots on
-    that axis, and start points placed symmetrically about it keep that
-    symmetry and stall.  A root whose residual is within the rounding error
-    of evaluating it stays put, since a multiple root would otherwise
-    wander in the noise; iteration stops once no root moves by more than
-    1e-15 r.  Simple roots come out to rounding level, an m-fold root to
-    about eps^(1/m)."""
-    if len(coeffs) != 4:
-        raise ValueError("a cubic has four coefficients")
-    lead = complex(coeffs[0])
-    if lead == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    a1, a2, a3 = (complex(a) / lead for a in coeffs[1:])
-    m1, m2, m3 = abs(a1), abs(a2), abs(a3)
-    radius = 1 + max(m1, m2, m3)
-    roots = [radius * (0.4 + 0.9j) ** k for k in range(3)]
-    for _ in range(MAX_ROOT_ITERATIONS):
-        moved = 0.0
-        for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
-            z = roots[i]
-            value = ((z + a1) * z + a2) * z + a3
-            r = abs(z)
-            if abs(value) <= sys.float_info.epsilon * (((r + m1) * r + m2) * r + m3):
-                continue
-            step = value / ((z - roots[j]) * (z - roots[k]))
-            roots[i] = z - step
-            moved = max(moved, abs(step))
-        if moved < 1e-15 * radius:
-            break
-    return roots
-
-
-def root_set_distance(a, b) -> float:
-    """Smallest over pairings of the maximum pairwise distance between two
-    triples (multiplicity-agnostic matching)."""
-    a = list(a)
-    b = list(b)
-    return min(
-        max(abs(x - y) for x, y in zip(a, perm)) for perm in permutations(b)
-    )
+def root_residual(coeffs, roots) -> float:
+    """Backward error of roots for the monic cubic coeffs: the largest
+    |a_k - b_k| / m**k, m = max(1, |r_i|), where b = (1, -e1, e2, -e3) is
+    (y - r1)(y - r2)(y - r3) expanded; b_k has degree k in the roots.
+    Sorting the roots makes the value independent of their order."""
+    r1, r2, r3 = sorted(map(complex, roots), key=lambda z: (z.real, z.imag))
+    expanded = (1, -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -(r1 * r2 * r3))
+    m = max(1.0, abs(r1), abs(r2), abs(r3))
+    return max(abs(complex(a) - b) / m**k for k, (a, b) in enumerate(zip(coeffs, expanded)))
 
 
 def dh_cubic_roots_check(tau) -> float:
-    """Distance between the root set of the gamma-cubic and the theta
-    closed form of the flow at tau."""
-    jet = chazy_gamma_jet(tau)
-    roots = cubic_roots(dh_cubic(jet))
-    return root_set_distance(roots, dh_theta_solution(tau))
+    """Backward error (root_residual) of the flow's theta closed form at tau
+    as the roots of the gamma-cubic.  Near a double root a coefficient error
+    eps moves the roots by about sqrt(eps): matching roots fails on right values."""
+    return root_residual(dh_cubic(chazy_gamma_jet(tau)), dh_theta_solution(tau))
