@@ -219,16 +219,15 @@ def _axis_jets(t: float):
 
 
 def theta_A_solution(t: float) -> tuple:
-    """A_i = 2 d/dt log theta_{i+1}(i t) = -2 pi r, real for t > 0 (chain
-    rule: d/dt f(i t) = i f'(i t); r of theta_log_jets)."""
-    _, (r2, r3, r4), _ = _axis_jets(t)
-    c = -2 * math.pi
-    return (c * r2, c * r3, c * r4)
+    """A_i = 2 d/dt log theta_{i+1}(i t) = -2 pi r, real for t > 0: the A
+    of theta_A_jet."""
+    return theta_A_jet(t)[0]
 
 
 def theta_A_jet(t: float):
-    """(A, dA/dt) from one theta_log_jets, both analytic: A as in
-    theta_A_solution and dA_i/dt = 2 pi**2 v (a second chain-rule factor i)."""
+    """(A, dA/dt) from one theta_log_jets, both analytic: A_i = -2 pi r
+    (chain rule: d/dt f(i t) = i f'(i t); r of theta_log_jets) and
+    dA_i/dt = 2 pi**2 v (a second chain-rule factor i)."""
     _, (r2, r3, r4), (v2, v3, v4) = _axis_jets(t)
     c, k = -2 * math.pi, 2 * math.pi**2
     return (c * r2, c * r3, c * r4), (k * v2, k * v3, k * v4)
@@ -241,26 +240,21 @@ def omega_field(omega, t: float) -> tuple:
 
 def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
                      max_step: float = math.inf) -> rk.Trajectory:
-    """Integrate the Omega flow along real time with theta-pinned A
-    (0 < t0 < t1: rk.integrate and theta_A_solution refuse the rest).
-
-    f is omega_field's arithmetic, but keeps the last (t, A): the last
-    stage of a DOP853 step and the FSAL stage after it share the time
-    t + h, so A is computed once per distinct stage time, 2 + 11 per
-    attempted step instead of 2 + 12, and 12 for each state the
-    trajectory's at() takes between mesh points."""
+    """Integrate the coupled Omega/A system along real time from
+    (initial_omega, theta_A_solution(t0)) (0 < t0 < t1: theta_A_solution
+    and rk.integrate refuse the rest).  The Darboux-Halphen flow through
+    the theta A at t0 is the theta solution, so A stays on it to the
+    tolerance and theta is evaluated once per flow.  The trajectory's
+    states are the Omega components; its err_ests cover all six."""
     from . import rk  # here, so the commands that never integrate skip it
 
-    t_last = a_last = None
-
     def f(t, y):
-        nonlocal t_last, a_last
-        if t != t_last:
-            t_last, a_last = t, theta_A_solution(t)
-        return _omega_rate(y, a_last)
+        domega, da = coupled_field(OmegaAState(y[:3], y[3:]))
+        return domega + da
 
-    sol = rk.integrate(f, t0, t1, initial_omega, rtol=tol, atol=tol, max_step=max_step)
-    return rk.Trajectory(sol, 0, 1)
+    sol = rk.integrate(f, t0, t1, (*initial_omega, *theta_A_solution(t0)),
+                       rtol=tol, atol=tol, max_step=max_step)
+    return rk.Trajectory(sol, 0, 1, 3)
 
 
 def flat_family_jet(t: float, q0: float):

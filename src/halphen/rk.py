@@ -203,16 +203,18 @@ class Trajectory:
     """The accepted mesh of an RkSolution in the caller's variable
     x = x0 + s*dx, s the integrator's real variable: a complex tau-segment
     takes (tau0, tau1 - tau0), real time (0, 1).  ts holds x at the mesh
-    points, states the solution's mesh states."""
+    points, states the solution's mesh states, or their first width
+    components if width is given; err_ests cover the whole state."""
 
-    __slots__ = ("ts", "states", "err_ests", "_x0", "_dx", "_solution")
+    __slots__ = ("ts", "states", "err_ests", "_x0", "_dx", "_width", "_solution")
 
-    def __init__(self, solution: RkSolution, x0, dx):
+    def __init__(self, solution: RkSolution, x0, dx, width=None):
         self.ts = [x0 + s * dx for s in solution.ts]
-        self.states = solution.ys
+        self.states = solution.ys if width is None else [y[:width] for y in solution.ys]
         self.err_ests = solution.err_ests
         self._x0 = x0
         self._dx = dx
+        self._width = width
         self._solution = solution
 
     @property
@@ -225,11 +227,13 @@ class Trajectory:
         return len(self.ts)
 
     def at(self, x) -> tuple:
-        """State at a point x of the integrated segment, by RkSolution.at."""
+        """State at a point x of the integrated segment, by RkSolution.at,
+        cut to width as the mesh states are."""
         s = (x - self._x0) / self._dx
         if abs(s.imag) > 1e-9:
             raise ValueError("%r is not on the integrated segment" % (x,))
-        return self._solution.at(s.real)
+        y = self._solution.at(s.real)
+        return y if self._width is None else y[:self._width]
 
 
 def _rms_scaled(e, scale) -> float:

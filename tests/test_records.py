@@ -48,7 +48,8 @@ def test_meshes_are_sized_by_their_points():
     assert len(flow) == len(flow.ts) == len(flow.states) > 3
     assert all(type(y) is tuple for y in traj.states + flow.states)
     assert traj.at(1.2j) is traj.states[0]  # the mesh state itself, not a copy
-    assert flow.states is sol.ys
+    assert traj.states is traj._solution.ys
+    assert flow.states == [y[:3] for y in sol.ys]  # the Omega of the Omega/A states
     for mesh in (traj, flow, sol):
         with pytest.raises(AttributeError):
             mesh.extra = None

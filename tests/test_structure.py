@@ -26,7 +26,6 @@ UNCONSUMED_EXPORTS = {
         "omega_from_c",
         "c_from_omega",
         "classical_dh_omega_field",
-        "coupled_field",
         "tod_hitchin_omega1",
         "constraint_residual",
         "lambda_conformal_factor",
