@@ -202,10 +202,10 @@ def _omega_rate(omega, a):
     )
 
 
-def coupled_field(state: OmegaAState):
+def coupled_field(omega, a):
     """dOmega_i/dt = -O_j O_k + O_i(A_j + A_k) coupled to the
     Darboux-Halphen flow of the A_i; returns (dOmega, dA)."""
-    return _omega_rate(state.omega, state.a), dh_vector_field(state.a)
+    return _omega_rate(omega, a), dh_vector_field(a)
 
 
 # -- theta solution families ------------------------------------------------------
@@ -249,7 +249,7 @@ def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
     from . import rk  # here, so the commands that never integrate skip it
 
     def f(t, y):
-        domega, da = coupled_field(OmegaAState(y[:3], y[3:]))
+        domega, da = coupled_field(y[:3], y[3:])
         return domega + da
 
     sol = rk.integrate(f, t0, t1, (*initial_omega, *theta_A_solution(t0)),

@@ -150,15 +150,13 @@ MAX_STEPS = 200_000
 
 class IntegrationBlowUp(ArithmeticError):
     """Raised when the solution leaves the resolvable regime, or when the
-    step budget is spent.  Attributes carry the last trusted point so callers
+    step budget is spent.  Attributes carry the last trusted t so callers
     can report how far the integration got, and what it cost: calls of f and
     rejected steps."""
 
-    def __init__(self, message: str, t_reached: float, y_reached, rhs_evals: int,
-                 steps_rejected: int):
+    def __init__(self, message: str, t_reached: float, rhs_evals: int, steps_rejected: int):
         super().__init__(message)
         self.t_reached = t_reached
-        self.y_reached = y_reached
         self.rhs_evals = rhs_evals
         self.steps_rejected = steps_rejected
 
@@ -270,19 +268,23 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     f receives the state as a tuple of complex and may return any sequence
     of numbers of the same length; ValueError if f(t0, y0) has another, and
     before f is called if the span, a tolerance, y0 or max_step is out of
-    range.  A step is accepted when Hairer's combined error norm (below) is
-    at most 1 with weights atol + rtol*max(|y|, |y_new|).  err_ests records,
-    for each accepted step, the root mean square of the error vector that
-    norm accepted, so each is at most atol + rtol*max|y| over the step's
-    two ends.  ts and err_ests hold floats and ys tuples of complex, so
-    callers need not convert them.  The budget of MAX_STEPS attempted steps
-    is checked before each attempt, so arriving on the last one succeeds.
+    range, rtol at or below 10*eps included.  A step is accepted when
+    Hairer's combined error norm (below) is at most 1 with weights
+    atol + rtol*max(|y|, |y_new|).  err_ests records, for each accepted
+    step, the root mean square of the error vector that norm accepted, so
+    each is at most atol + rtol*max|y| over the step's two ends.  ts and
+    err_ests hold floats and ys tuples of complex, so callers need not
+    convert them.  The budget of MAX_STEPS attempted steps is checked
+    before each attempt, so arriving on the last one succeeds.
     """
     span = t1 - t0
     if not 0 < span < math.inf:
         raise ValueError("t1 - t0 must be positive and finite")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("tolerances must be positive and finite")
+    if rtol <= 10 * sys.float_info.epsilon:  # DOP853's own input check
+        raise ValueError("rtol=%g must exceed 10*eps=%.2g, the least DOP853 can meet"
+                         % (rtol, 10 * sys.float_info.epsilon))
     y = tuple(complex(v) for v in y0)
     n = len(y)
     if not n:
@@ -295,7 +297,7 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     if len(f_cur) != n:
         raise ValueError("f returned %d components for a state of %d" % (len(f_cur), n))
     if not all(map(cmath.isfinite, f_cur)):
-        raise IntegrationBlowUp("non-finite derivative at the initial point", t, y, 1, 0)
+        raise IntegrationBlowUp("non-finite derivative at the initial point", t, 1, 0)
     h = min(_initial_step(f, t, y, f_cur, span, rtol, atol), max_step)
     h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
     attempt = _attempt(n)
@@ -310,7 +312,7 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
 
     def blow_up(message):
         """IntegrationBlowUp at the last accepted point, with the counts so far."""
-        return IntegrationBlowUp(message, t, y, 2 + 12 * attempts, attempts - len(steps))
+        return IntegrationBlowUp(message, t, 2 + 12 * attempts, attempts - len(steps))
 
     # a final sliver below machine resolution counts as arrival, not underflow
     while t1 - t >= h_min:

@@ -111,7 +111,7 @@ def test_criterion_07_bianchi_reduction(capsys):
     reduction_ok = True
     for _ in range(50):
         omega = random_state(rng)
-        domega, da = bianchi.coupled_field(bianchi.OmegaAState(omega=omega, a=omega))
+        domega, da = bianchi.coupled_field(omega, omega)
         reduction_ok &= domega == bianchi.classical_dh_omega_field(omega, bianchi.SELF_DUAL)
         reduction_ok &= da == dh.dh_vector_field(omega)
 

@@ -11,7 +11,6 @@ from halphen.bianchi import (
     SELF_DUAL,
     ConnectionOneForm,
     MetricCoeffs,
-    OmegaAState,
     SelfDualitySign,
     TodHitchinParams,
     c_from_omega,
@@ -198,15 +197,15 @@ def test_coupled_field_reduction_to_classical():
     rng = random.Random(73)
     for _ in range(30):
         omega = random_state(rng)
-        domega, da = coupled_field(OmegaAState(omega=omega, a=omega))
+        domega, da = coupled_field(omega, omega)
         assert domega == classical_dh_omega_field(omega, SELF_DUAL)
         assert da == dh_vector_field(omega)
 
 
 def test_coupled_field_degenerate_cases():
-    domega, _ = coupled_field(OmegaAState(omega=(0, 0, 0), a=(5, -2, 7)))
+    domega, _ = coupled_field((0, 0, 0), (5, -2, 7))
     assert domega == (0, 0, 0)
-    domega, da = coupled_field(OmegaAState(omega=(1, 2, 3), a=(0, 0, 0)))
+    domega, da = coupled_field((1, 2, 3), (0, 0, 0))
     assert domega == (-6, -3, -2)
     assert da == (0, 0, 0)
 
@@ -231,7 +230,7 @@ def test_theta_A_satisfies_dh_flow(t):
 
 def test_omega_field_is_the_coupled_omega_rate():
     omega, t = (1.0, -0.5, 0.25), 0.9
-    domega, _ = coupled_field(OmegaAState(omega=omega, a=theta_A_solution(t)))
+    domega, _ = coupled_field(omega, theta_A_solution(t))
     assert omega_field(list(omega), t) == domega
 
 

@@ -234,6 +234,17 @@ def test_dh_integrate_spent_step_budget_exit_code(capsys, monkeypatch):
     assert "blow-up" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "dh integrate --t0 0,1.2 --t1 0,2 --tol 1e-20",
+    "bianchi flow --t0 0.7 --t1 2 --initial 1,0.5,0.25 --tol 1e-17",
+])
+def test_tolerance_at_or_below_the_dop853_floor_is_a_usage_error(capsys, argv):
+    # below 10*eps the step control reports errors the state cannot carry
+    assert main(argv.split()) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "10*eps=2.2e-15" in err
+
+
 def test_bianchi_flow_csv(capsys):
     code, out = run(
         capsys, "bianchi", "flow", "--t0", "0.7", "--t1", "1.2",

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from halphen import qseries
 from halphen.dh import dh_integrate, dh_theta_solution
 from halphen.qseries import (
     PiGradedQSeries,
@@ -388,6 +389,21 @@ def test_theta_numeric_value_and_derivative():
         h = 1e-5
         fd = (direct(1.1j + h) - direct(1.1j - h)) / (2 * h)
         assert abs(dval - fd) < 1e-8
+
+
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_theta_kernel_sums_are_exact_at_a_dyadic_nome(n_max):
+    # at x = 1/2 every term and partial sum up to n_max = 6 is a double, so
+    # the kernel returns the exact sums: a dropped, doubled or misfiled
+    # trailing term shows, though it lies below the oracle tests' tolerance
+    x = Fraction(1, 2)
+    theta2 = [(1, n * n + n) for n in range(n_max + 1)]  # (c, e) of the terms c x**e
+    theta3 = [(1, 0)] + [(2, n * n) for n in range(1, n_max + 1)]
+    theta4 = [(1, 0)] + [(2 * (-1) ** n, n * n) for n in range(1, n_max + 1)]
+    want = [[sum(c * e**j * x**e for c, e in terms) for j in range(3)]
+            for terms in (theta2, theta3, theta4)]
+    got = qseries._theta_jets(0.5, n_max)
+    assert [[Fraction(v) for v in jet] for jet in got] == want
 
 
 # -- theta with characteristics ---------------------------------------------

@@ -198,6 +198,7 @@ def test_error_estimates_recorded():
     (1.0, [1.0], 1e-8, -1e-8, math.inf, "tolerances must be positive"),
     (1.0, [1.0], math.nan, 1e-8, math.inf, "tolerances must be positive"),
     (1.0, [1.0], 1e-8, math.inf, math.inf, "tolerances must be positive and finite"),
+    (1.0, [1.0], 1e-20, 1e-8, math.inf, "rtol=1e-20 must exceed 10\\*eps=2.2e-15"),
     (1.0, [], 1e-8, 1e-8, math.inf, "the state has no components"),
     (1.0, [1.0], 1e-8, 1e-8, 0.0, "takes inf steps, more than MAX_STEPS=200000"),
     (1.0, [1.0], 1e-8, 1e-8, -0.1, "takes inf steps"),
@@ -205,8 +206,8 @@ def test_error_estimates_recorded():
     (1.0, [1.0], 1e-8, 1e-8, 1e-6, "takes 1e\\+06 steps, more than MAX_STEPS=200000"),
     (1.0, [1.0], 1e-8, 1e-8, 1e-300, "takes 1e\\+300 steps"),
 ], ids=["t1-before-t0", "empty-span", "infinite-span", "nan-t1", "zero-rtol", "negative-atol",
-        "nan-rtol", "infinite-atol", "empty-state", "zero-max-step", "negative-max-step",
-        "nan-max-step", "max-step-1e-6", "max-step-1e-300"])
+        "nan-rtol", "infinite-atol", "rtol-below-floor", "empty-state", "zero-max-step",
+        "negative-max-step", "nan-max-step", "max-step-1e-6", "max-step-1e-300"])
 def test_invalid_arguments(t1, y0, rtol, atol, max_step, message):
     # refused before the first call of f, which would raise otherwise
     def f(t, y):
@@ -358,7 +359,7 @@ def test_numpy_oracle_matches_dh_readme_integration():
 def test_numpy_oracle_matches_omega_flow(t0, t1, initial, tol, max_step):
     # the flow integrates the coupled Omega/A system and reports Omega
     def coupled(t, y):
-        domega, da = bianchi.coupled_field(bianchi.OmegaAState(y[:3], y[3:]))
+        domega, da = bianchi.coupled_field(y[:3], y[3:])
         return np.array(domega + da)
 
     traj = bianchi.omega_theta_flow(initial, t0, t1, tol=tol, max_step=max_step)

@@ -15,7 +15,8 @@ leave no cancellation in the oracle's own sums; one test takes Re tau up
 to 2**60 at 60 digits, on values free of that root.
 
 The kernel's sums are also checked bit for bit against parity_theta_jets,
-the kernel's earlier form with one n a pass, and against two more terms.
+the kernel with a branch on the parity of n where it indexes by n & 1, and
+against two more terms.
 """
 
 import cmath
@@ -170,8 +171,8 @@ def test_float_and_complex_paths_agree_on_the_imaginary_axis(t):
 
 
 def parity_theta_jets(x, n_max):
-    """qseries._theta_jets as it was before its loop took n in pairs: one n
-    a pass, the theta3/theta4 terms split by the parity of n."""
+    """qseries._theta_jets with its theta3/theta4 terms split by a branch
+    on the parity of n, not by indexing with n & 1."""
     x2 = x * x
     s2, d2, f2 = 1.0, 0.0, 0.0
     so = do = fo = se = de = fe = 0.0
