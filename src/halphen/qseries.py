@@ -60,8 +60,8 @@ __all__ = [
     "log_derivative",
     "log_unit",
     "eval_series",
-    "theta_eval_tail_bound",
     "tau_complex",
+    "theta_term_count",
     "theta_log_jets",
     "theta_numeric",
     "theta_char_eval",
@@ -443,10 +443,7 @@ class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s sigma")):
     __slots__ = ()
 
     def __new__(cls, r, s, sigma):
-        r, s, sigma = complex(r), complex(s), complex(sigma)
-        if sigma.imag <= 0:
-            raise ValueError("sigma must have positive imaginary part")
-        return super().__new__(cls, r, s, sigma)
+        return super().__new__(cls, complex(r), complex(s), tau_complex(sigma))
 
 
 def tau_complex(tau) -> complex:
@@ -541,11 +538,8 @@ def log_unit(s: PiGradedQSeries):
 
 
 def eval_series(s: PiGradedQSeries, tau, var: str = "w") -> complex:
-    """Evaluate (pi*i)**pi_power * sum c_n x**n at x = w(tau) or x = q(tau).
-
-    The truncation tail is not estimated here; see theta_eval_tail_bound
-    for the documented geometric bound covering theta expansions.
-    """
+    """Evaluate (pi*i)**pi_power * sum c_n x**n at x = w(tau) or x = q(tau);
+    the truncation tail is not estimated."""
     # w and q have periods 8 and 1 in Re tau; fmod reduces exactly, so
     # exp's phase is as accurate at Re tau = 1e15 as at 0.3
     t = tau_complex(tau)
@@ -566,31 +560,6 @@ def eval_series(s: PiGradedQSeries, tau, var: str = "w") -> complex:
     return (1j * math.pi) ** s.pi_power * acc
 
 
-def theta_eval_tail_bound(which: int, order: int, tau) -> float:
-    """Bound on the truncation error of eval_series(theta_series(which, order), tau).
-
-    Theta exponents grow quadratically with strictly increasing gaps, so the
-    dropped tail is dominated by the geometric series starting at the first
-    omitted exponent with ratio |w|**(last observed gap); all coefficients
-    have magnitude at most 2.
-    """
-    t = tau_complex(tau)
-    w_abs = math.exp(-2 * math.pi * t.imag / 8)
-    if which == 2:
-        exps = [(2 * n + 1) ** 2 for n in range(order + 2)]
-    elif which in (3, 4):
-        exps = [4 * n * n for n in range(order + 2)]
-    else:
-        raise ValueError("theta index must be 2, 3 or 4")
-    included = [e for e in exps if e <= order]
-    e_next = next(e for e in exps if e > order)
-    if len(included) >= 2:
-        gap = included[-1] - included[-2]
-    else:
-        gap = e_next - (included[-1] if included else 0)
-    return 2.0 * w_abs**e_next / (1.0 - w_abs**gap)
-
-
 # Most terms a theta sum may take.  The cost grows linearly with the count
 # (_theta_jets: about 50 ms for 10**5 terms on the imaginary axis, Python 3.11 on
 # a 2-core x86-64 VM); 10**5 terms are reached near Im tau = 1.6e-9.
@@ -598,17 +567,19 @@ MAX_THETA_TERMS = 10**5
 _TAIL_LOG = math.log(1e18) + 10.0  # hoisted: every theta evaluation counts terms
 
 
-def _theta_term_count(im_tau: float) -> int:
-    """Last n summed by _theta_jets, N + 1 for N = ceil(sqrt(_TAIL_LOG/(pi*Im(tau)))).
+def theta_term_count(im_tau: float, shift: float = 0.0) -> int:
+    """Last n a theta sum takes, ceil(shift + sqrt(_TAIL_LOG/(pi*Im(tau)))) + 1,
+    for terms whose magnitude peaks within shift of n = 0 and falls as
+    exp(-pi*Im(tau)*d**2) at a distance d from the peak: each dropped term
+    lies below exp(-_TAIL_LOG) = 4.5e-23 of the leading one.
 
-    Terms decay like exp(-pi*Im(tau)*e), e ~ n**2, so each dropped term of
-    S lies below exp(-_TAIL_LOG) = 4.5e-23 of its leading term.  D and F
-    weight the terms by e and e**2, which also moves their largest term out
-    to e = 1/(pi*Im(tau)) and 2/(pi*Im(tau)); relative to it the first
-    dropped term is below 6.3e-21 for D and 2.2e-19 for F, and the whole
-    tail, shrinking geometrically, below 1e-18 for Im tau >= 1e-4.  Raises
-    ValueError past MAX_THETA_TERMS."""
-    n = math.sqrt(_TAIL_LOG / (math.pi * im_tau))
+    In _theta_jets (shift 0) the terms decay like exp(-pi*Im(tau)*e),
+    e ~ n**2.  D and F weight them by e and e**2, which also moves their
+    largest term out to e = 1/(pi*Im(tau)) and 2/(pi*Im(tau)); relative to
+    it the first dropped term is below 6.3e-21 for D and 2.2e-19 for F, and
+    the whole tail, shrinking geometrically, below 1e-18 for Im tau >= 1e-4.
+    Raises ValueError past MAX_THETA_TERMS."""
+    n = shift + math.sqrt(_TAIL_LOG / (math.pi * im_tau))
     if not n <= MAX_THETA_TERMS:
         raise ValueError("Im tau=%g needs over %d theta terms" % (im_tau, MAX_THETA_TERMS))
     return math.ceil(n) + 1
@@ -635,7 +606,7 @@ def _theta_jets(x, n_max: int):
     x**((n+1)**2 + n+1) = x**(n*n + n) * x**(2n+2), whose step factors
     grow by x**2 each term, so exp is never called here.  x is a float on
     the imaginary axis and complex elsewhere; the same arithmetic serves
-    both.  Sums run to n = n_max (_theta_term_count).
+    both.  Sums run to n = n_max (theta_term_count).
     """
     x2 = x * x
     s2, d2, f2 = 1.0, 0.0, 0.0  # theta2 from n = 0
@@ -673,7 +644,7 @@ def theta_log_jets(tau):
     err by a few ulp of their largest term.
     """
     t = tau_complex(tau)
-    n = _theta_term_count(t.imag)
+    n = theta_term_count(t.imag)
     if t.real == 0:
         z, exp = -math.pi * t.imag, math.exp  # pi*i*tau, real on the axis
     else:  # Re tau reduced exactly: every theta jet has a period dividing 8
@@ -703,21 +674,13 @@ def _theta_char_sum(ch: ThetaCharacteristics):
     terms; d/ds gives each term a factor 2*pi*i*(m+r).
 
     log|term(m)| is an inverted parabola in u = m + Re(r) with curvature
-    pi*Im(sigma); summing to sqrt(log(1/tol)/curvature) past the peak keeps
-    the dropped tail below tol = 1e-15 relative to the largest term.  Complex
-    characteristics only shift the peak and are covered by the same bound.
-    Raises ValueError past MAX_THETA_TERMS.
+    pi*Im(sigma), peaking at u_peak; complex characteristics only move the
+    peak.  So theta_term_count, shifted by |u_peak| + |Re(r)|, bounds m.
     """
-    tol = 1e-15
     curvature = math.pi * ch.sigma.imag
-    b = ch.r.imag
-    slope = -2 * math.pi * (b * ch.sigma.real + ch.s.imag)
+    slope = -2 * math.pi * (ch.r.imag * ch.sigma.real + ch.s.imag)
     u_peak = slope / (2 * curvature)
-    spread = math.sqrt((math.log(1 / tol) + 12.0) / curvature)
-    m = abs(u_peak) + abs(ch.r.real) + spread
-    if not m <= MAX_THETA_TERMS:
-        raise ValueError("sigma=%r needs over %d theta terms" % (ch.sigma, MAX_THETA_TERMS))
-    m_max = int(math.ceil(m)) + 3
+    m_max = theta_term_count(ch.sigma.imag, abs(u_peak) + abs(ch.r.real))
     total = d_total = 0j
     for m in range(-m_max, m_max + 1):
         mr = m + ch.r

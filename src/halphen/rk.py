@@ -268,14 +268,14 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     f receives the state as a tuple of complex and may return any sequence
     of numbers of the same length; ValueError if f(t0, y0) has another, and
     before f is called if the span, a tolerance, y0 or max_step is out of
-    range, rtol at or below 10*eps included.  A step is accepted when
-    Hairer's combined error norm (below) is at most 1 with weights
-    atol + rtol*max(|y|, |y_new|).  err_ests records, for each accepted
-    step, the root mean square of the error vector that norm accepted, so
-    each is at most atol + rtol*max|y| over the step's two ends.  ts and
-    err_ests hold floats and ys tuples of complex, so callers need not
-    convert them.  The budget of MAX_STEPS attempted steps is checked
-    before each attempt, so arriving on the last one succeeds.
+    range, rtol at or below 10*eps and a subnormal atol included.  A step is
+    accepted when Hairer's combined error norm (below) is at most 1 with
+    weights atol + rtol*max(|y|, |y_new|).  err_ests records, for each
+    accepted step, the root mean square of the error vector that norm
+    accepted, so each is at most atol + rtol*max|y| over the step's two
+    ends.  ts and err_ests hold floats and ys tuples of complex, so callers
+    need not convert them.  The budget of MAX_STEPS attempted steps is
+    checked before each attempt, so arriving on the last one succeeds.
     """
     span = t1 - t0
     if not 0 < span < math.inf:
@@ -285,6 +285,9 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     if rtol <= 10 * sys.float_info.epsilon:  # DOP853's own input check
         raise ValueError("rtol=%g must exceed 10*eps=%.2g, the least DOP853 can meet"
                          % (rtol, 10 * sys.float_info.epsilon))
+    if atol < sys.float_info.min:  # 1/(atol + rtol*|y|) overflows at y = 0
+        raise ValueError("atol=%g is below the least normal double %.3g"
+                         % (atol, sys.float_info.min))
     y = tuple(complex(v) for v in y0)
     n = len(y)
     if not n:
@@ -298,8 +301,9 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
         raise ValueError("f returned %d components for a state of %d" % (len(f_cur), n))
     if not all(map(cmath.isfinite, f_cur)):
         raise IntegrationBlowUp("non-finite derivative at the initial point", t, 1, 0)
-    h = min(_initial_step(f, t, y, f_cur, span, rtol, atol), max_step)
     h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
+    # a tiny atol makes the initial guess tiny, not the step the flow needs
+    h = min(max(_initial_step(f, t, y, f_cur, span, rtol, atol), h_min), max_step)
     attempt = _attempt(n)
 
     ts = [t]

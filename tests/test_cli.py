@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from halphen import cli, qseries, rk
+from halphen import cli, dh, qseries, rk
 from halphen.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -139,6 +139,19 @@ def test_verify_ramanujan(capsys):
     assert report["results"]["conjugacy_exact_zero"] is True
     assert report["version"]
     assert report["config"]["order"] == 30
+
+
+def test_verify_ramanujan_catches_a_scaled_theta_solution(capsys, monkeypatch):
+    # the closed form scaled by 1 + 1e-9 misses the q-series of E2, E4, E6
+    # by 3e-9 relative, past the default tol 1e-9
+    right = dh.dh_theta_solution
+    monkeypatch.setattr(
+        dh, "dh_theta_solution", lambda tau: tuple(t * (1 + 1e-9) for t in right(tau))
+    )
+    code, report = run_json(capsys, "verify", "ramanujan", "--order", "30")
+    assert code == EXIT_RESIDUAL
+    assert report["results"]["series_residuals_zero"] is True
+    assert report["results"]["theta_solution_check"]["residual"] > 1e-9
 
 
 def test_verify_gauss_manin_seeded(capsys):
@@ -295,7 +308,7 @@ def test_bianchi_verify_constraint_generic_violation(capsys):
 
 @pytest.mark.parametrize("t", ["0.07", "0.08", "0.09"])
 def test_bianchi_verify_constraint_near_the_axis(capsys, t):
-    # the theta series oracles need orders up to 1024 here, not 400
+    # the theta series oracles take orders up to (2N + 1)**2 = 1225 here, not 400
     code, report = run_json(capsys, "bianchi", "verify-constraint", "--q0", "0.3", "--t", t)
     assert code == EXIT_OK
     assert report["results"]["theta_prefactors_ok"] is True

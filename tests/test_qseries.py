@@ -19,7 +19,6 @@ from halphen.qseries import (
     tau_complex,
     theta_char_dz,
     theta_char_eval,
-    theta_eval_tail_bound,
     theta_log_jets,
     theta_numeric,
     theta_series,
@@ -376,10 +375,14 @@ def test_eval_rejects_lower_half_plane():
 
 
 def test_eval_convergence_within_tail_bound():
-    for which in (2, 3, 4):
-        v100 = eval_series(theta_series(which, 100), 1j)
-        v200 = eval_series(theta_series(which, 200), 1j)
-        assert abs(v200 - v100) <= theta_eval_tail_bound(which, 100, 1j)
+    # the exact series to w**((2N + 1)**2) hold every term theta_log_jets
+    # sums, n <= N = theta_term_count, and both drop terms below 4.5e-23
+    for tau in (1j, 0.3 + 0.5j):
+        order = (2 * qseries.theta_term_count(tau.imag) + 1) ** 2
+        values = theta_log_jets(tau)[0]
+        for which, value in zip((2, 3, 4), values):
+            got = eval_series(theta_series(which, order), tau)
+            assert abs(got - value) <= 4 * math.ulp(abs(value)), (tau, which)
 
 
 def test_theta_numeric_value_and_derivative():
@@ -456,6 +459,7 @@ def test_characteristics_require_upper_half_plane():
 def test_non_finite_tau_is_refused(tau):
     calls = [tau_complex, theta_log_jets, dh_theta_solution,
              lambda t: theta_numeric(3, t), lambda t: eval_series(theta_series(3, 10), t),
+             lambda t: ThetaCharacteristics(0, 0, t),
              lambda t: dh_integrate((1, 1, 1), t, 1j, 1e-8),
              lambda t: dh_integrate((1, 1, 1), 1j, t, 1e-8)]
     for call in calls:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -205,9 +206,11 @@ def test_error_estimates_recorded():
     (1.0, [1.0], 1e-8, 1e-8, math.nan, "takes inf steps"),
     (1.0, [1.0], 1e-8, 1e-8, 1e-6, "takes 1e\\+06 steps, more than MAX_STEPS=200000"),
     (1.0, [1.0], 1e-8, 1e-8, 1e-300, "takes 1e\\+300 steps"),
+    (1.0, [0.0], 1e-10, 1e-310, math.inf, "atol=1e-310 is below the least normal double"),
 ], ids=["t1-before-t0", "empty-span", "infinite-span", "nan-t1", "zero-rtol", "negative-atol",
         "nan-rtol", "infinite-atol", "rtol-below-floor", "empty-state", "zero-max-step",
-        "negative-max-step", "nan-max-step", "max-step-1e-6", "max-step-1e-300"])
+        "negative-max-step", "nan-max-step", "max-step-1e-6", "max-step-1e-300",
+        "atol-subnormal"])
 def test_invalid_arguments(t1, y0, rtol, atol, max_step, message):
     # refused before the first call of f, which would raise otherwise
     def f(t, y):
@@ -215,6 +218,15 @@ def test_invalid_arguments(t1, y0, rtol, atol, max_step, message):
 
     with pytest.raises(ValueError, match=message):
         integrate(f, 0.0, t1, y0, rtol=rtol, atol=atol, max_step=max_step)
+
+
+@pytest.mark.parametrize("atol", [1e-114, 1e-300, sys.float_info.min])
+def test_a_tiny_atol_is_no_blow_up(atol):
+    # with y0 = 0 the initial guess scales with atol**(1/8); the first step
+    # starts no lower than h_min
+    sol = integrate(lambda t, y: [1.0], 0.0, 1.0, [0.0], rtol=1e-10, atol=atol)
+    assert sol.ts[-1] == 1.0
+    assert abs(sol.ys[-1][0] - 1.0) <= 1e-9
 
 
 # -- numpy reference integrator ------------------------------------------------------

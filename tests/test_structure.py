@@ -1,5 +1,6 @@
 """The layout of the library, checked on the source: qseries.theta_log_jets
-is the one numeric front door to theta2-theta4, no halphen module reaches
+is the one numeric front door to theta2-theta4, qseries.theta_term_count
+the one rule for how many terms a theta sum takes, no halphen module reaches
 into another's private names, a parameter takes one type rather than a
 record or its tuple, every exported name has a consumer, and every
 module-level import is read."""
@@ -105,18 +106,29 @@ def test_no_module_imports_a_private_name_of_another():
 def test_only_theta_log_jets_runs_the_theta_kernel():
     front_door = {("qseries", "theta_log_jets")}
     assert functions_where(reads("_theta_jets")) == front_door
-    assert functions_where(reads("_theta_term_count")) == front_door
+
+
+def test_one_rule_counts_theta_terms():
+    # the tail constant and the cap are theta_term_count's alone, and every
+    # theta sum, numeric or exact, takes its term count from it
+    rule = {("qseries", "theta_term_count")}
+    assert functions_where(reads("_TAIL_LOG")) == rule
+    assert functions_where(reads("MAX_THETA_TERMS")) == rule
+    assert functions_where(reads("theta_term_count")) == {
+        ("qseries", "theta_log_jets"),
+        ("qseries", "_theta_char_sum"),
+        ("cli", "cmd_bianchi_verify_constraint"),
+    }
 
 
 def test_nome_prefactor_offset_and_refusal_appear_once():
     # exponentials: the nome exp(pi*i*tau) and theta2's exp(pi*i*tau/4)
-    # (theta_log_jets), w and q of a series (eval_series), |w| (the tail
-    # bound), the characteristic sum's terms, and the phase exp(pi*i*p) of
-    # the two-parameter family
+    # (theta_log_jets), w and q of a series (eval_series), the
+    # characteristic sum's terms, and the phase exp(pi*i*p) of the
+    # two-parameter family
     assert functions_where(calls_exp) == {
         ("qseries", "theta_log_jets"),
         ("qseries", "eval_series"),
-        ("qseries", "theta_eval_tail_bound"),
         ("qseries", "_theta_char_sum"),
         ("bianchi", "tod_hitchin_omega1"),
     }

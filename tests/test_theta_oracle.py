@@ -16,7 +16,9 @@ to 2**60 at 60 digits, on values free of that root.
 
 The kernel's sums are also checked bit for bit against parity_theta_jets,
 the kernel with a branch on the parity of n where it indexes by n & 1, and
-against two more terms.
+against two more terms.  The characteristic sums theta[r, s](sigma) and
+their s-derivatives are checked against mpmath.jtheta(3, ...) at a shifted
+argument.
 """
 
 import cmath
@@ -92,7 +94,7 @@ def kernel_second_derivatives(tau):
     (pi*i)**2 * P*(F + D/2 + S/16)."""
     x = cmath.exp(1j * math.pi * tau)
     (s2, d2, f2), (_, _, f3), (_, _, f4) = qseries._theta_jets(
-        x, qseries._theta_term_count(tau.imag)
+        x, qseries.theta_term_count(tau.imag)
     )
     p = 2 * cmath.exp(0.25j * math.pi * tau)
     c = (1j * math.pi) ** 2
@@ -164,7 +166,7 @@ def test_float_and_complex_paths_agree_on_the_imaginary_axis(t):
     a_jet, da = bianchi.theta_A_jet(t)
     assert a == a_jet
     x = math.exp(-math.pi * t)
-    jets = qseries._theta_jets(complex(x), qseries._theta_term_count(t))
+    jets = qseries._theta_jets(complex(x), qseries.theta_term_count(t))
     for k, ai, dai, (s, d, _), offset in zip((2, 3, 4), a, da, jets, (0.25, 0, 0)):
         assert type(ai) is float and type(dai) is float
         assert abs(ai - (-2 * math.pi * (d / s + offset)).real) <= 8 * EPS * abs(ai), k
@@ -230,8 +232,45 @@ def test_kernel_matches_its_parity_branch_form(x, n_max):
 @settings(max_examples=300, deadline=None)
 @given(st.builds(complex, st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), st.floats(0.1, 100.0)))
 def test_two_more_terms_change_no_sum(tau):
-    # the terms past _theta_term_count lie below 1e-18 of each sum's largest
+    # the terms past theta_term_count lie below 1e-18 of each sum's largest
     # term (its docstring), far below the last bit
     x = nome(tau)
-    n = qseries._theta_term_count(tau.imag)
+    n = qseries.theta_term_count(tau.imag)
     assert qseries._theta_jets(x, n) == qseries._theta_jets(x, n + 2)
+
+
+def char_oracle(r, s, sigma):
+    """(theta[r, s](sigma), its s-derivative) to 40 digits, through
+    theta[r, s](sigma) = exp(pi*i*r**2*sigma + 2*pi*i*r*s) * theta3(pi*(r*sigma + s) | q)
+    with q = exp(pi*i*sigma)."""
+    with mpmath.workdps(40):
+        r, s, sigma = mpmath.mpf(r), mpmath.mpf(s), mpmath.mpc(sigma)
+        q = mpmath.exp(1j * mpmath.pi * sigma)
+        z = mpmath.pi * (r * sigma + s)
+        prefactor = mpmath.exp(1j * mpmath.pi * r * r * sigma + 2j * mpmath.pi * r * s)
+        theta = mpmath.jtheta(3, z, q)
+        return prefactor * theta, prefactor * (
+            2j * mpmath.pi * r * theta + mpmath.pi * mpmath.jtheta(3, z, q, 1)
+        )
+
+
+characteristics = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(characteristics, characteristics,
+       st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.3, 3.0)))
+@example(0.5, 0.5, 1j)  # theta[1/2, 1/2] vanishes identically
+@example(0.0, 0.5, 0.3 + 0.3j)
+def test_characteristic_sums_match_oracle(r, s, sigma):
+    # each sum errs by a few ulp of the sum of its terms' magnitudes, which
+    # also covers the zeros of theta[1/2, 1/2]
+    scale = scale_dz = 0.0
+    for m in range(-60, 61):
+        size = math.exp(-math.pi * sigma.imag * (m + r) ** 2)
+        scale += size
+        scale_dz += 2 * math.pi * abs(m + r) * size
+    ch = qseries.ThetaCharacteristics(r, s, sigma)
+    want, want_dz = char_oracle(r, s, sigma)
+    assert err(qseries.theta_char_eval(ch), want) <= 16 * EPS * scale
+    assert err(qseries.theta_char_dz(ch), want_dz) <= 16 * EPS * scale_dz
