@@ -239,22 +239,23 @@ def omega_field(omega, t: float) -> tuple:
 
 
 def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
-                     max_step: float = math.inf) -> rk.Trajectory:
+                     max_step: float = math.inf) -> rk.RkSolution:
     """Integrate the coupled Omega/A system along real time from
-    (initial_omega, theta_A_solution(t0)) (0 < t0 < t1: theta_A_solution
-    and rk.integrate refuse the rest).  The Darboux-Halphen flow through
-    the theta A at t0 is the theta solution, so A stays on it to the
-    tolerance and theta is evaluated once per flow.  The trajectory's
+    (initial_omega, theta_A_solution(t0)), 0 < t0 < t1.  The Darboux-Halphen
+    flow through the theta A at t0 is the theta solution, so A stays on it
+    to the tolerance and theta is evaluated once per flow.  The solution's
     states are the Omega components; its err_ests cover all six."""
     from . import rk  # here, so the commands that never integrate skip it
+
+    if not t0 < t1:
+        raise ValueError("t1 must be after t0")
 
     def f(t, y):
         domega, da = coupled_field(y[:3], y[3:])
         return domega + da
 
-    sol = rk.integrate(f, t0, t1, (*initial_omega, *theta_A_solution(t0)),
-                       rtol=tol, atol=tol, max_step=max_step)
-    return rk.Trajectory(sol, 0, 1, 3)
+    return rk.integrate(f, t0, t1, (*initial_omega, *theta_A_solution(t0)),
+                        rtol=tol, atol=tol, max_step=max_step, width=3)
 
 
 def flat_family_jet(t: float, q0: float):

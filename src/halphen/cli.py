@@ -307,7 +307,7 @@ def cmd_bianchi_flat_family(args):
         # the family's analytic rate against the Omega flow's right-hand side
         state, rate = bianchi.flat_family_jet(t, args.q0)
         omegas.append(state.omega)
-        field = bianchi.omega_field(state.omega, t)
+        field = bianchi.coupled_field(state.omega, state.a)[0]
         residuals.append(float(max(abs(a - b) for a, b in zip(rate, field))))
         factors.append(float(bianchi.flat_conformal_factor(state.omega, t, args.q0, args.C)))
     columns = [("t", ts), ("omega", omegas), ("residual", residuals), ("F", factors)]

@@ -81,35 +81,22 @@ def darboux_condition_residual(state):
 # -- numeric integration -------------------------------------------------------
 
 
-def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) -> rk.Trajectory:
-    """Integrate the flow along the straight segment tau0 -> tau1.
-
-    The segment is parameterised by arc fraction s in [0, 1]; tolerances
-    are applied as both absolute and relative, and max_step, in |tau|, goes
-    to rk.integrate as max_step/|tau1 - tau0|, which refuses a NaN.  The
-    trajectory's ts are the mesh points' tau.  rk.IntegrationBlowUp (the
-    flow has movable poles, or the step budget is spent) is re-raised with
-    the last trusted tau prefixed to its message.
-    """
+def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) -> rk.RkSolution:
+    """Integrate the flow along the straight segment tau0 -> tau1, with tol
+    as both absolute and relative tolerance and max_step a bound on |dtau|.
+    rk.IntegrationBlowUp (the flow has movable poles, or the step budget is
+    spent) is re-raised with the last trusted tau prefixed to its message."""
     from . import rk  # here, so the commands that never integrate skip it
 
     t0 = tau_complex(tau0)
     t1 = tau_complex(tau1)
-    dtau = t1 - t0
-    if dtau == 0:
-        raise ValueError("tau0 and tau1 coincide")
-
-    def f(s, y):
-        return [dtau * v for v in dh_vector_field(y)]
-
     try:
-        sol = rk.integrate(f, 0.0, 1.0, initial, rtol=tol, atol=tol,
-                           max_step=max_step / abs(dtau))
+        return rk.integrate(lambda tau, y: dh_vector_field(y), t0, t1, initial, rtol=tol,
+                            atol=tol, max_step=max_step)
     except rk.IntegrationBlowUp as exc:
         exc.args = ("Darboux-Halphen integration stopped near tau=%r: %s"
-                    % (t0 + exc.t_reached * dtau, exc),)
+                    % (exc.t_reached, exc),)
         raise
-    return rk.Trajectory(sol, t0, dtau)
 
 
 # -- closed form ---------------------------------------------------------------

@@ -447,10 +447,10 @@ class ThetaCharacteristics(namedtuple("ThetaCharacteristics", "r s sigma")):
 
 
 def tau_complex(tau) -> complex:
-    """tau as a complex in the upper half-plane; Im tau = +inf, the cusp,
-    passes, while a nan part or an infinite Re tau is refused."""
+    """tau as a complex in the upper half-plane, both parts finite: the cusp
+    Im tau = +inf is refused, as a nan part or an infinite Re tau is."""
     t = complex(tau)
-    if not (t.imag > 0 and math.isfinite(t.real)):
+    if not (0 < t.imag < math.inf and math.isfinite(t.real)):
         raise ValueError("tau must lie in the upper half-plane, got %r" % (t,))
     return t
 

@@ -5,11 +5,11 @@ FSAL, Hairer's combined fifth/third-order error estimate and PI step-size
 control (Prince & Dormand, J. Comput. Appl. Math. 7 (1981) 67-75; Hairer,
 Norsett & Wanner, Solving ODEs I, II.10).  A state between mesh points is
 one more step of the same method, from the mesh point before it (II.6).  The
-state vector may be complex; the independent variable is real (callers
-integrating along a complex segment parameterise it by arc fraction).
-Blow-up - a non-finite state or a step size driven below machine resolution
-- raises IntegrationBlowUp instead of silently clipping, and so does a spent
-budget of MAX_STEPS attempted steps (stiffness or a long span, not a blow-up).
+state vector may be complex, and the integration runs along the straight
+segment t0 -> t1, real or complex, in real steps of arc length.  Blow-up - a
+non-finite state or a step size driven below machine resolution - raises
+IntegrationBlowUp instead of silently clipping, and so does a spent budget of
+MAX_STEPS attempted steps (stiffness or a long span, not a blow-up).
 
 Pure Python: states are tuples of complex, and f(t, y) receives such a
 tuple and may return any sequence of numbers of the state's length.  For each
@@ -28,7 +28,7 @@ import cmath
 import math
 import sys
 
-__all__ = ["IntegrationBlowUp", "RkSolution", "Trajectory", "integrate"]
+__all__ = ["IntegrationBlowUp", "RkSolution", "integrate"]
 
 # Dormand-Prince 8(5,3) tableau in DOP853's stage numbering.  Stages 0-11
 # make a step; stage 12 is f at the new point, where row 12 of A (the
@@ -103,11 +103,12 @@ _ATTEMPTS: dict = {}
 def _attempt(n: int):
     """The DOP853 attempt for states of n components, generated once per n.
     attempt(f, t, y, f0, h), f0 = f(t, y), is the eighth-order state y_new at
-    t + h, after 11 calls of f; attempt(f, t, y, f0, h, rtol, atol) then calls
-    f there and returns (y_new, f(t + h, y_new), n5, n3, sq), or None if y_new
-    or a stage derivative is not finite.  nX sums |eX * (1/w)|**2 and sq
-    |e5|**2 over the components, eX the rows EX of the derivatives and w =
-    atol + rtol*max(|y|, |y_new|).  abs is this module's, looked up per call."""
+    t + h, h complex on a complex segment, after 11 calls of f; given rtol and
+    atol it then calls f there and returns (y_new, f(t + h, y_new), n5, n3,
+    sq), or None if y_new or a stage derivative is not finite.  nX sums
+    |eX * (1/w)|**2 and sq |e5|**2 over the components, eX the rows EX of the
+    derivatives and w = atol + rtol*max(|y|, |y_new|).  abs is this module's,
+    looked up per call."""
     attempt = _ATTEMPTS.get(n)
     if attempt is None:
         comps = range(n)
@@ -150,11 +151,11 @@ MAX_STEPS = 200_000
 
 class IntegrationBlowUp(ArithmeticError):
     """Raised when the solution leaves the resolvable regime, or when the
-    step budget is spent.  Attributes carry the last trusted t so callers
-    can report how far the integration got, and what it cost: calls of f and
-    rejected steps."""
+    step budget is spent.  Attributes carry the last trusted t, in the
+    caller's variable, so callers can report how far the integration got,
+    and what it cost: calls of f and rejected steps."""
 
-    def __init__(self, message: str, t_reached: float, rhs_evals: int, steps_rejected: int):
+    def __init__(self, message: str, t_reached, rhs_evals: int, steps_rejected: int):
         super().__init__(message)
         self.t_reached = t_reached
         self.rhs_evals = rhs_evals
@@ -162,76 +163,56 @@ class IntegrationBlowUp(ArithmeticError):
 
 
 class RkSolution:
-    """Accepted mesh (ts, ys), per-step local error estimates, the size h of
-    each accepted step, and the right-hand side f that at() steps with
-    between mesh points.
+    """Accepted mesh ts on the segment, in the caller's variable and ending
+    at t1 itself; mesh states ys, and states, their first width components
+    (ys itself if width is None); per-step local error estimates, which
+    cover the whole state; the length h of each accepted step; and the
+    right-hand side f that at() steps with between mesh points.
 
     rhs_evals counts the calls of f, at()'s included, and steps_rejected the
     attempted steps the controller refused; the accepted ones are the steps."""
 
-    __slots__ = ("ts", "ys", "err_ests", "steps", "f", "rhs_evals", "steps_rejected")
+    __slots__ = ("ts", "ys", "states", "err_ests", "steps", "f", "width", "rhs_evals",
+                 "steps_rejected")
 
-    def __init__(self, ts, ys, err_ests, steps, f, rhs_evals, steps_rejected):
+    def __init__(self, ts, ys, err_ests, steps, f, rhs_evals, steps_rejected, width=None):
         self.ts = ts
         self.ys = ys
+        self.states = ys if width is None else [y[:width] for y in ys]
         self.err_ests = err_ests
         self.steps = steps
         self.f = f
+        self.width = width
         self.rhs_evals = rhs_evals
         self.steps_rejected = steps_rejected
 
-    def at(self, t: float) -> tuple:
-        """State at t inside the integrated interval.  At a mesh point or the
-        end of the mesh it is that mesh state; elsewhere it is one step of
-        the method from the last mesh point before t to t, 12 calls of f and
-        nothing kept.  That step is an eighth-order interpolant which meets
-        both ends of the accepted step to rounding."""
-        t0, t1 = self.ts[0], self.ts[-1]
-        if not (t0 - 1e-12 <= t <= t1 + 1e-12):
-            raise ValueError("t=%g outside integrated interval [%g, %g]" % (t, t0, t1))
-        idx = max(bisect.bisect_right(self.ts, t) - 1, 0)
-        t_old, y_old = self.ts[idx], self.ys[idx]
-        if idx == len(self.steps) or t == t_old:
-            return y_old
-        self.rhs_evals += 12
-        return _attempt(len(y_old))(self.f, t_old, y_old, self.f(t_old, y_old), t - t_old)
-
-
-class Trajectory:
-    """The accepted mesh of an RkSolution in the caller's variable
-    x = x0 + s*dx, s the integrator's real variable: a complex tau-segment
-    takes (tau0, tau1 - tau0), real time (0, 1).  ts holds x at the mesh
-    points, states the solution's mesh states, or their first width
-    components if width is given; err_ests cover the whole state."""
-
-    __slots__ = ("ts", "states", "err_ests", "_x0", "_dx", "_width", "_solution")
-
-    def __init__(self, solution: RkSolution, x0, dx, width=None):
-        self.ts = [x0 + s * dx for s in solution.ts]
-        self.states = solution.ys if width is None else [y[:width] for y in solution.ys]
-        self.err_ests = solution.err_ests
-        self._x0 = x0
-        self._dx = dx
-        self._width = width
-        self._solution = solution
-
     @property
     def omegas(self):
-        """Read-only alias of states, the name the benchmark's workloads
-        read the Omega flow's states under."""
+        """Read-only alias of states, the name the benchmark reads the Omega flow's under."""
         return self.states
 
     def __len__(self):
         return len(self.ts)
 
-    def at(self, x) -> tuple:
-        """State at a point x of the integrated segment, by RkSolution.at,
-        cut to width as the mesh states are."""
-        s = (x - self._x0) / self._dx
-        if abs(s.imag) > 1e-9:
-            raise ValueError("%r is not on the integrated segment" % (x,))
-        y = self._solution.at(s.real)
-        return y if self._width is None else y[:self._width]
+    def at(self, t) -> tuple:
+        """State at a point t of the integrated segment, cut to width.  At a
+        mesh point or the end of the mesh it is that mesh state; elsewhere it
+        is one step of the method from the last mesh point before t to t, 12
+        calls of f and nothing kept: an eighth-order interpolant which meets
+        both ends of the accepted step to rounding."""
+        t0, t1 = self.ts[0], self.ts[-1]
+        span = abs(t1 - t0)
+        u = (t1 - t0) / span
+        s = (t - t0) / u  # the distance from t0, real on the segment
+        if not (abs(s.imag) <= 1e-9 * span and -1e-12 * span <= s.real <= span * (1 + 1e-12)):
+            raise ValueError("t=%s is not on the integrated segment %s -> %s" % (t, t0, t1))
+        idx = max(bisect.bisect_right(self.ts, s.real, key=lambda x: ((x - t0) / u).real) - 1, 0)
+        t_old, y_old = self.ts[idx], self.ys[idx]
+        if idx == len(self.steps) or t == t_old:
+            return self.states[idx]
+        self.rhs_evals += 12
+        y = _attempt(len(y_old))(self.f, t_old, y_old, self.f(t_old, y_old), t - t_old)
+        return y[:self.width]
 
 
 def _rms_scaled(e, scale) -> float:
@@ -246,40 +227,46 @@ def _rms_scaled(e, scale) -> float:
     return math.sqrt(total / len(scale))
 
 
-def _initial_step(f, t0, y0, f0, t_span, rtol, atol):
+def _initial_step(f, t0, y0, f0, u, span, rtol, atol):
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms_scaled(y0, scale)
     d1 = _rms_scaled(f0, scale)
-    h0 = 1e-6 * t_span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = tuple(v + h0 * d for v, d in zip(y0, f0))
-    f1 = f(t0 + h0, y1)
+    h0 = 1e-6 * span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    y1 = tuple(v + h0 * u * d for v, d in zip(y0, f0))
+    f1 = f(t0 + h0 * u, y1)
     d2 = _rms_scaled([a - b for a, b in zip(f1, f0)], scale) / h0
     if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6 * t_span, h0 * 1e-3)
+        h1 = max(1e-6 * span, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, t_span)
+    return min(100 * h0, h1, span)
 
 
-def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
-              max_step: float = math.inf) -> RkSolution:
-    """Integrate dy/dt = f(t, y) from t0 to t1 (t1 > t0), complex y allowed.
+def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.inf,
+              width=None) -> RkSolution:
+    """Integrate dy/dt = f(t, y) along the straight segment t0 -> t1, real or
+    complex, either way: each step is a real length h in (0, |t1 - t0|],
+    at most max_step, along u = (t1 - t0)/|t1 - t0| (1.0 for real t0 < t1),
+    with stage i at t + C[i]*h*u.  The last mesh point is t1 exactly, and
+    width, if given, cuts the states to their first width components.
 
     f receives the state as a tuple of complex and may return any sequence
     of numbers of the same length; ValueError if f(t0, y0) has another, and
-    before f is called if the span, a tolerance, y0 or max_step is out of
+    before f is called if the segment, a tolerance, y0 or max_step is out of
     range, rtol at or below 10*eps and a subnormal atol included.  A step is
     accepted when Hairer's combined error norm (below) is at most 1 with
     weights atol + rtol*max(|y|, |y_new|).  err_ests records, for each
     accepted step, the root mean square of the error vector that norm
     accepted, so each is at most atol + rtol*max|y| over the step's two
-    ends.  ts and err_ests hold floats and ys tuples of complex, so callers
-    need not convert them.  The budget of MAX_STEPS attempted steps is
-    checked before each attempt, so arriving on the last one succeeds.
+    ends.  err_ests hold floats and ys tuples of complex, so callers need
+    not convert them.  The budget of MAX_STEPS attempted steps is checked
+    before each attempt, so arriving on the last one succeeds.
     """
-    span = t1 - t0
+    kind = complex if isinstance(t1 - t0, complex) else float
+    t0, t1 = kind(t0), kind(t1)
+    span = abs(t1 - t0)
     if not 0 < span < math.inf:
-        raise ValueError("t1 - t0 must be positive and finite")
+        raise ValueError("t0 and t1 must be finite and distinct")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("tolerances must be positive and finite")
     if rtol <= 10 * sys.float_info.epsilon:  # DOP853's own input check
@@ -295,7 +282,8 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     if not span <= MAX_STEPS * max_step:  # also a max_step of 0, below 0 or NaN
         raise ValueError("max_step too small: the span takes %.3g steps, more than MAX_STEPS=%d"
                          % (span / max_step if max_step > 0 else math.inf, MAX_STEPS))
-    t = float(t0)
+    u = (t1 - t0) / span
+    t = t0
     f_cur = f(t, y)
     if len(f_cur) != n:
         raise ValueError("f returned %d components for a state of %d" % (len(f_cur), n))
@@ -303,7 +291,7 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
         raise IntegrationBlowUp("non-finite derivative at the initial point", t, 1, 0)
     h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
     # a tiny atol makes the initial guess tiny, not the step the flow needs
-    h = min(max(_initial_step(f, t, y, f_cur, span, rtol, atol), h_min), max_step)
+    h = min(max(_initial_step(f, t, y, f_cur, u, span, rtol, atol), h_min), max_step)
     attempt = _attempt(n)
 
     ts = [t]
@@ -313,37 +301,41 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
     err_prev = 1e-4
     rejected = False
     attempts = 0
+    remaining = span
 
     def blow_up(message):
         """IntegrationBlowUp at the last accepted point, with the counts so far."""
         return IntegrationBlowUp(message, t, 2 + 12 * attempts, attempts - len(steps))
 
-    # a final sliver below machine resolution counts as arrival, not underflow
-    while t1 - t >= h_min:
+    while remaining:
         if attempts == MAX_STEPS:
-            raise blow_up("step budget exhausted at t=%g after MAX_STEPS=%d steps: the flow "
+            raise blow_up("step budget exhausted at t=%s after MAX_STEPS=%d steps: the flow "
                           "may be stiff or the span too long" % (t, MAX_STEPS))
-        h = min(h, t1 - t, max_step)
+        h = min(h, remaining, max_step)
         if h < h_min:
-            raise blow_up(
-                "step size underflow at t=%g (|y|=%g): solution blow-up" % (t, max(map(abs, y))))
+            raise blow_up("step size underflow at t=%s (|y|=%g): solution blow-up"
+                          % (t, max(map(abs, y))))
         attempts += 1
-        result = attempt(f, t, y, f_cur, h, rtol, atol)
+        result = attempt(f, t, y, f_cur, h * u, rtol, atol)
         if result is None:
-            raise blow_up("non-finite state at t=%g: solution blow-up" % (t + h))
+            raise blow_up("non-finite state at t=%s: solution blow-up" % (t + h * u))
         y_new, f_new, n5, n3, sq = result
-        # |h| n5 / sqrt(n (n5 + 0.01 n3)) is the RMS over the weights of
+        # h n5 / sqrt(n (n5 + 0.01 n3)) is the RMS over the weights of
         # rho h e5, rho = sqrt(n5 / (n5 + 0.01 n3)); err_est is the plain RMS
         # of that vector, at most err * max(weight)
         if n5 == 0.0:
             err = err_est = 0.0
         else:
             denom = n5 + 0.01 * n3
-            err = abs(h) * n5 / math.sqrt(n * denom)
-            err_est = abs(h) * math.sqrt(n5 / denom) * math.sqrt(sq / n)
+            err = h * n5 / math.sqrt(n * denom)
+            err_est = h * math.sqrt(n5 / denom) * math.sqrt(sq / n)
         if err <= 1.0:
             steps.append(h)
-            t = t + h
+            t = t + h * u
+            remaining = abs(t1 - t)
+            # a final sliver below machine resolution counts as arrival
+            if remaining < h_min:
+                t, remaining = t1, 0.0
             y = y_new
             f_cur = f_new  # FSAL
             ts.append(t)
@@ -360,5 +352,5 @@ def integrate(f, t0: float, t1: float, y0, rtol: float, atol: float,
             rejected = True
             h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
 
-    return RkSolution(ts=ts, ys=ys, err_ests=err_ests, steps=steps, f=f,
-                      rhs_evals=2 + 12 * attempts, steps_rejected=attempts - len(steps))
+    return RkSolution(ts, ys, err_ests, steps, f, 2 + 12 * attempts, attempts - len(steps),
+                      width)

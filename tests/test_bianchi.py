@@ -321,8 +321,8 @@ def test_omega_flow_computes_A_once(initial, t0, t1, tol, max_step):
         traj.at(0.5 * (ts[3] + ts[4]))
         traj.at(0.25 * ts[3] + 0.75 * ts[4])
         assert spy.call_count == 1
-    sol = traj._solution  # each at() stepped, 12 calls of f and none of theta
-    assert sol.rhs_evals == 2 + 12 * (len(sol.steps) + sol.steps_rejected) + 24
+    # each at() stepped, 12 calls of f and none of theta
+    assert traj.rhs_evals == 2 + 12 * (len(traj.steps) + traj.steps_rejected) + 24
 
 
 def test_omega_flow_validates_arguments():

@@ -280,14 +280,14 @@ def test_bianchi_flat_family_csv_and_gate(capsys):
     assert max(float(line.split(",")[7]) for line in lines[1:]) < 1e-12
 
 
-def test_bianchi_flat_family_runs_the_theta_kernel_twice_per_point(capsys, monkeypatch):
-    # once for the family and its rate, once in the Omega flow's field
+def test_bianchi_flat_family_runs_the_theta_kernel_once_per_point(capsys, monkeypatch):
+    # for the family and its rate; the Omega flow's field takes the family's A
     kernel = qseries._theta_jets
     calls = []
     monkeypatch.setattr(qseries, "_theta_jets", lambda *a: calls.append(a) or kernel(*a))
     code, _ = run(capsys, "bianchi", "flat-family", "--q0", "0.3", "--steps", "5")
     assert code == EXIT_OK
-    assert len(calls) == 2 * 5
+    assert len(calls) == 5
 
 
 def test_bianchi_verify_constraint_flat_family(capsys):

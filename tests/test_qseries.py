@@ -454,7 +454,8 @@ def test_characteristics_require_upper_half_plane():
 @pytest.mark.parametrize(
     "tau",
     [complex(math.nan, 1), complex(0, math.nan), complex(math.inf, 1), complex(-math.inf, 1),
-     complex(math.nan, math.inf), complex(math.inf, math.inf)],
+     complex(math.nan, math.inf), complex(math.inf, math.inf),
+     complex(0, math.inf), complex(1, math.inf)],  # the cusp
 )
 def test_non_finite_tau_is_refused(tau):
     calls = [tau_complex, theta_log_jets, dh_theta_solution,

@@ -54,9 +54,9 @@ def read_golden(path) -> str:
         return fh.read()
 
 
-def test_readme_has_fifteen_examples():
-    assert len(readme_examples()) == 15
-    assert len(json_forms()) == 3
+def test_readme_has_sixteen_examples():
+    assert len(readme_examples()) == 16
+    assert len(json_forms()) == 4
 
 
 def test_readme_examples_match_golden_transcript(capsys):

@@ -43,14 +43,14 @@ def test_records_coerce_and_default():
 def test_meshes_are_sized_by_their_points():
     traj = dh.dh_integrate(dh.dh_theta_solution(1.2j), 1.2j, 1.5j, tol=1e-8)
     flow = bianchi.omega_theta_flow((1.0, 0.5, 0.25), 0.7, 1.0, tol=1e-8)
-    sol = flow._solution
     assert len(traj) == len(traj.ts) == len(traj.states) > 3
     assert len(flow) == len(flow.ts) == len(flow.states) > 3
     assert all(type(y) is tuple for y in traj.states + flow.states)
     assert traj.at(1.2j) is traj.states[0]  # the mesh state itself, not a copy
-    assert traj.states is traj._solution.ys
-    assert flow.states == [y[:3] for y in sol.ys]  # the Omega of the Omega/A states
-    for mesh in (traj, flow, sol):
+    assert flow.at(0.7) is flow.states[0]
+    assert traj.states is traj.ys
+    assert flow.states == [y[:3] for y in flow.ys]  # the Omega of the Omega/A states
+    for mesh in (traj, flow):
         with pytest.raises(AttributeError):
             mesh.extra = None
     assert flow.omegas is flow.states  # the benchmark's name, read-only
