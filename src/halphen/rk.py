@@ -332,8 +332,12 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
         if err <= 1.0:
             steps.append(h)
             t = t + h * u
-            remaining = abs(t1 - t)
-            # a final sliver below machine resolution counts as arrival
+            # the distance left, measured along u: off the real line each
+            # t + h*u rounds off the segment, by up to an ulp a step, and
+            # abs(t1 - t) would count that sideways drift as distance left
+            remaining = ((t1 - t) / u).real
+            # a final sliver below machine resolution, or a rounding past t1,
+            # counts as arrival
             if remaining < h_min:
                 t, remaining = t1, 0.0
             y = y_new

@@ -188,6 +188,20 @@ def test_linear_flow_along_a_segment(t0, t1):
         assert abs(got - cmath.exp(LAMBDA * (mid - t0)) * v) <= 10 * tol * abs(v)
 
 
+def test_many_steps_along_a_diagonal_end_at_t1():
+    # each t + h*u rounds off the segment by the same amount when h is fixed
+    # by max_step, so the sideways drift grows with the step count; the
+    # distance left is measured along u, and the mesh still stops at t1
+    t0, t1 = -0.2 + 0.9j, 0.3 + 1.4j
+    tol = 1e-10
+    sol = integrate(linear, t0, t1, (1.0,), rtol=tol, atol=tol, max_step=abs(t1 - t0) / 1000)
+    assert 1000 <= len(sol.steps) <= 1001 and sol.ts[-1] == t1
+    growth = cmath.exp(LAMBDA * (t1 - t0))
+    assert abs(sol.states[-1][0] - growth) <= 10 * tol * abs(growth)
+    u = (t1 - t0) / abs(t1 - t0)
+    assert all(abs(((t - t0) / u).imag) <= 1e-12 * abs(t1 - t0) for t in sol.ts)
+
+
 def test_at_stays_on_the_segment():
     t0, t1 = -0.2 + 0.9j, 0.3 + 1.4j
     sol = integrate(linear, t0, t1, (1.0,), rtol=1e-10, atol=1e-10)
@@ -373,7 +387,7 @@ def numpy_integrate(f, t0, t1, y0, rtol, atol, max_step=np.inf):
                                         atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
         if err <= 1.0:
             t, y, f_cur = t + h * u, y_new, np.asarray(f(t + h * u, y_new), dtype=complex)
-            remaining = float(np.abs(t1 - t))
+            remaining = ((t1 - t) / u).real
             if remaining < h_min:
                 t, remaining = t1, 0.0
             ts.append(t)
