@@ -332,12 +332,9 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
         if err <= 1.0:
             steps.append(h)
             t = t + h * u
-            # the distance left, measured along u: off the real line each
-            # t + h*u rounds off the segment, by up to an ulp a step, and
-            # abs(t1 - t) would count that sideways drift as distance left
+            # measured along u, as t + h*u may round off the segment; a
+            # sliver below machine resolution, or a step past t1, is arrival
             remaining = ((t1 - t) / u).real
-            # a final sliver below machine resolution, or a rounding past t1,
-            # counts as arrival
             if remaining < h_min:
                 t, remaining = t1, 0.0
             y = y_new
@@ -350,8 +347,7 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
             if rejected:
                 factor = min(1.0, factor)
             h *= factor
-            err_prev = max(err, 1e-4)
-            rejected = False
+            err_prev, rejected = max(err, 1e-4), False
         else:
             rejected = True
             h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
