@@ -54,7 +54,6 @@ __all__ = [
     "flat_conformal_factor",
     "tod_hitchin_omega1",
     "constraint_lhs_rhs",
-    "constraint_residual",
     "lambda_conformal_factor",
 ]
 
@@ -312,11 +311,6 @@ def constraint_lhs_rhs(omega, t: float):
     lhs = th2**4 * o1 * o1 - th3**4 * o2 * o2 + th4**4 * o3 * o3
     rhs = (math.pi**2 / 4) * th2**4 * th3**4 * th4**4
     return lhs, rhs
-
-
-def constraint_residual(omega, t: float):
-    lhs, rhs = constraint_lhs_rhs(omega, t)
-    return lhs - rhs
 
 
 def lambda_conformal_factor(omega, params: TodHitchinParams, t: float):

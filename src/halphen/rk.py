@@ -7,7 +7,7 @@ Norsett & Wanner, Solving ODEs I, II.10).  A state between mesh points is
 one more step of the same method, from the mesh point before it (II.6).  The
 state vector may be complex, and the integration runs along the straight
 segment t0 -> t1, real or complex, in real steps of arc length.  Blow-up - a
-non-finite state or a step size driven below machine resolution - raises
+non-finite state or overflow, or a step size below machine resolution - raises
 IntegrationBlowUp instead of silently clipping, and so does a spent budget of
 MAX_STEPS attempted steps (stiffness or a long span, not a blow-up).
 
@@ -250,23 +250,24 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
     with stage i at t + C[i]*h*u.  The last mesh point is t1 exactly, and
     width, if given, cuts the states to their first width components.
 
-    f receives the state as a tuple of complex and may return any sequence
-    of numbers of the same length; ValueError if f(t0, y0) has another, and
-    before f is called if the segment, a tolerance, y0 or max_step is out of
-    range, rtol at or below 10*eps and a subnormal atol included.  A step is
-    accepted when Hairer's combined error norm (below) is at most 1 with
-    weights atol + rtol*max(|y|, |y_new|).  err_ests records, for each
-    accepted step, the root mean square of the error vector that norm
-    accepted, so each is at most atol + rtol*max|y| over the step's two
-    ends.  err_ests hold floats and ys tuples of complex, so callers need
-    not convert them.  The budget of MAX_STEPS attempted steps is checked
+    f receives the state as a tuple of complex and may return any sequence of
+    numbers of the same length; ValueError if f(t0, y0) has another, and before
+    f is called if the segment, a tolerance, y0 or max_step is out of range, a
+    span below h_min = 16*eps*max(|t0|, |t1|, 1), rtol at or below 10*eps and a
+    subnormal atol included.  A step is accepted when Hairer's combined error
+    norm (below) is at most 1 with weights atol + rtol*max(|y|, |y_new|).
+    err_ests records, for each accepted step, the root mean square of the error
+    vector that norm accepted, so each is at most atol + rtol*max|y| over the
+    step's two ends.  err_ests hold floats and ys tuples of complex, so callers
+    need not convert them.  The budget of MAX_STEPS attempted steps is checked
     before each attempt, so arriving on the last one succeeds.
     """
     kind = complex if isinstance(t1 - t0, complex) else float
     t0, t1 = kind(t0), kind(t1)
     span = abs(t1 - t0)
-    if not 0 < span < math.inf:
-        raise ValueError("t0 and t1 must be finite and distinct")
+    h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
+    if not h_min <= span < math.inf:  # a shorter span takes no step
+        raise ValueError("t0 and t1 must be finite and distinct, at least %.3g apart" % h_min)
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("tolerances must be positive and finite")
     if rtol <= 10 * sys.float_info.epsilon:  # DOP853's own input check
@@ -289,11 +290,7 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
         raise ValueError("f returned %d components for a state of %d" % (len(f_cur), n))
     if not all(map(cmath.isfinite, f_cur)):
         raise IntegrationBlowUp("non-finite derivative at the initial point", t, 1, 0)
-    h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
-    # a tiny atol makes the initial guess tiny, not the step the flow needs
-    h = min(max(_initial_step(f, t, y, f_cur, u, span, rtol, atol), h_min), max_step)
     attempt = _attempt(n)
-
     ts = [t]
     ys = [y]
     err_ests = [0.0]
@@ -307,6 +304,15 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
         """IntegrationBlowUp at the last accepted point, with the counts so far."""
         return IntegrationBlowUp(message, t, 2 + 12 * attempts, attempts - len(steps))
 
+    def overflow(exc):  # a float operation out of range
+        return blow_up("arithmetic overflow at t=%s (%s): solution blow-up"
+                       % (t, exc.args[-1] if exc.args else exc))
+
+    try:  # a tiny atol makes the initial guess tiny, not the step the flow needs
+        h = min(max(_initial_step(f, t, y, f_cur, u, span, rtol, atol), h_min), max_step)
+    except ArithmeticError as exc:  # d2 / h0 once h0 underflows to 0
+        raise overflow(exc) from None
+
     while remaining:
         if attempts == MAX_STEPS:
             raise blow_up("step budget exhausted at t=%s after MAX_STEPS=%d steps: the flow "
@@ -316,7 +322,10 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
             raise blow_up("step size underflow at t=%s (|y|=%g): solution blow-up"
                           % (t, max(map(abs, y))))
         attempts += 1
-        result = attempt(f, t, y, f_cur, h * u, rtol, atol)
+        try:
+            result = attempt(f, t, y, f_cur, h * u, rtol, atol)
+        except ArithmeticError as exc:  # abs(e) ** 2 past the largest double
+            raise overflow(exc) from None
         if result is None:
             raise blow_up("non-finite state at t=%s: solution blow-up" % (t + h * u))
         y_new, f_new, n5, n3, sq = result

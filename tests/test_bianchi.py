@@ -18,7 +18,6 @@ from halphen.bianchi import (
     connection_coefficient,
     connection_one_form,
     constraint_lhs_rhs,
-    constraint_residual,
     coupled_field,
     flat_conformal_factor,
     flat_family,
@@ -377,10 +376,6 @@ def test_constraint_lhs_quadratic_scaling():
         lhs_s, rhs_s = constraint_lhs_rhs(tuple(s * o for o in omega), t)
         assert lhs_s == pytest.approx(s * s * lhs, rel=1e-12)
         assert rhs_s == rhs  # Omega-free
-
-
-def test_constraint_residual_detects_generic_violation():
-    assert abs(constraint_residual((1.0, 2.0, 3.0), 1.0)) > 0.1
 
 
 def test_flat_family_lies_on_constraint_variety():

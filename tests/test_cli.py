@@ -83,6 +83,9 @@ def test_negative_value_after_flag(capsys):
     [
         ("dh theta --tau=0,-1", EXIT_USAGE),
         ("dh integrate --t0=0,1 --t1=0,1", EXIT_USAGE),
+        # endpoints closer than rk's step resolution 16*eps*max(|t0|, |t1|, 1)
+        ("dh integrate --t0 0,1 --t1 0,1.0000000000000002", EXIT_USAGE),
+        ("bianchi flow --t0 1 --t1 1.0000000000000002 --initial 1,1,1", EXIT_USAGE),
         ("dh integrate --t0 0,1.2 --t1 0,2 --max-step 0", EXIT_USAGE),
         # a --max-step too small for MAX_STEPS steps to cover the span
         ("dh integrate --t0 0,1 --t1 0,2 --max-step 1e-6", EXIT_USAGE),
@@ -258,6 +261,30 @@ def test_tolerance_at_or_below_the_dop853_floor_is_a_usage_error(capsys, argv):
     assert out == "" and "10*eps=2.2e-15" in err
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    # d2 / h0 of the first-step guess, once h0 underflows to 0
+    ("bianchi flow --t0 0.7 --t1 2 --initial 1e200,1,1",
+     "numeric failure: arithmetic overflow at t=0.7 (float division by zero)"),
+    # abs(e) ** 2 of the error sums, past the largest double
+    ("dh integrate --t0 0,1 --t1 0,2 --initial 1e200,0,1,0,1,0",
+     "numeric failure: Darboux-Halphen integration stopped near tau=1j: "
+     "arithmetic overflow at t=1j (Numerical result out of range)"),
+], ids=["bianchi-flow", "dh-integrate"])
+def test_overflow_in_the_integrator_is_a_blow_up(capsys, argv, prefix):
+    assert main(argv.split()) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix) and err.endswith(": solution blow-up\n")
+
+
+def test_a_span_just_above_the_step_resolution_integrates(capsys):
+    # 4.0e-15 apart, h_min = 16*eps*1 = 3.55e-15: one step from t0 to t1
+    code, out = run(capsys, "dh", "integrate", "--t0", "0,1", "--t1", "0,1.000000000000004")
+    assert code == EXIT_OK
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["0.0", "1.0"], ["0.0", "1.000000000000004"]]
+
+
 def test_bianchi_flow_csv(capsys):
     code, out = run(
         capsys, "bianchi", "flow", "--t0", "0.7", "--t1", "1.2",
@@ -294,7 +321,6 @@ def test_bianchi_verify_constraint_flat_family(capsys):
     code, report = run_json(capsys, "bianchi", "verify-constraint", "--t", "1.0", "--q0", "0.3")
     assert code == EXIT_OK
     assert report["results"]["constraint_satisfied"] is True
-    assert report["results"]["quadratic_scaling_ok"] is True
     assert report["results"]["theta_prefactors_ok"] is True
 
 
@@ -306,12 +332,15 @@ def test_bianchi_verify_constraint_generic_violation(capsys):
     assert report["results"]["constraint_satisfied"] is False
 
 
-@pytest.mark.parametrize("t", ["0.07", "0.08", "0.09"])
-def test_bianchi_verify_constraint_near_the_axis(capsys, t):
-    # the theta series oracles take orders up to (2N + 1)**2 = 1225 here, not 400
+@pytest.mark.parametrize("t, ok", [("0.07", False), ("0.08", True), ("0.09", True)],
+                         ids=["0.07", "0.08", "0.09"])
+def test_bianchi_verify_constraint_near_the_axis(capsys, t, ok):
+    # the theta series oracles take orders up to (2N + 1)**2 = 1225 here, not
+    # 400; at t = 0.07 the kernel's theta4 is 1.3e-12 off them, past the 1e-12
+    # bound, as the alternating sum cancels near the axis (ROADMAP item 4)
     code, report = run_json(capsys, "bianchi", "verify-constraint", "--q0", "0.3", "--t", t)
-    assert code == EXIT_OK
-    assert report["results"]["theta_prefactors_ok"] is True
+    assert code == (EXIT_OK if ok else EXIT_RESIDUAL)
+    assert report["results"]["theta_prefactors_ok"] is ok
 
 
 @pytest.mark.parametrize("t", ["1000", "2000"])
@@ -325,10 +354,14 @@ def test_bianchi_verify_constraint_where_theta2_underflows(capsys, t):
 
 @pytest.mark.parametrize("t", ["1.0", "1000"])
 def test_bianchi_verify_constraint_catches_a_wrong_theta(capsys, monkeypatch, t):
-    right = qseries.theta_char_eval
-    monkeypatch.setattr(
-        qseries, "theta_char_eval", lambda ch: right(ch) * (1 + 1e-9) + 1e-300
-    )
+    # the check reads the kernel the constraint takes its thetas from
+    right = qseries.theta_log_jets
+
+    def wrong(tau):
+        values, r, v = right(tau)
+        return tuple(x * (1 + 1e-9) + 1e-300 for x in values), r, v
+
+    monkeypatch.setattr(qseries, "theta_log_jets", wrong)
     code, report = run_json(capsys, "bianchi", "verify-constraint", "--t", t)
     assert code == EXIT_RESIDUAL
     assert report["results"]["theta_prefactors_ok"] is False

@@ -221,6 +221,14 @@ def test_blowup_is_reported():
     assert exc.value.rhs_evals > 2 and (exc.value.rhs_evals - 2) % 12 == 0
 
 
+def test_overflow_is_reported_as_a_blowup():
+    # dy/dt = y^2 from y(0)=1e150 blows up at t=1e-150: the first-step guess
+    # divides by a step that underflows to 0
+    with pytest.raises(IntegrationBlowUp, match="^arithmetic overflow at t=0.0 ") as exc:
+        integrate(lambda t, y: [v * v for v in y], 0.0, 1.0, [1e150], rtol=1e-8, atol=1e-8)
+    assert exc.value.t_reached == 0.0 and exc.value.rhs_evals == 2
+
+
 def test_arrival_on_the_last_allowed_attempt_succeeds(monkeypatch):
     # with f = 0 the steps grow 1e-6, 1e-5, ... up to max_step: 15 attempts,
     # all accepted, reach t1
@@ -250,6 +258,9 @@ def test_error_estimates_recorded():
     (0.0, [1.0], 1e-8, 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
     (math.inf, [1.0], 1e-8, 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
     (math.nan, [1.0], 1e-8, 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
+    # below h_min = 16*eps*max(|t0|, |t1|, 1) = 3.55e-15, a span takes no step
+    (1e-15, [1.0], 1e-8, 1e-8, math.inf,
+     "t0 and t1 must be finite and distinct, at least 3.55e-15 apart"),
     (1.0, [1.0], 0.0, 1e-8, math.inf, "tolerances must be positive"),
     (1.0, [1.0], 1e-8, -1e-8, math.inf, "tolerances must be positive"),
     (1.0, [1.0], math.nan, 1e-8, math.inf, "tolerances must be positive"),
@@ -262,7 +273,7 @@ def test_error_estimates_recorded():
     (1.0, [1.0], 1e-8, 1e-8, 1e-6, "takes 1e\\+06 steps, more than MAX_STEPS=200000"),
     (1.0, [1.0], 1e-8, 1e-8, 1e-300, "takes 1e\\+300 steps"),
     (1.0, [0.0], 1e-10, 1e-310, math.inf, "atol=1e-310 is below the least normal double"),
-], ids=["empty-span", "infinite-span", "nan-t1", "zero-rtol", "negative-atol",
+], ids=["empty-span", "infinite-span", "nan-t1", "tiny-span", "zero-rtol", "negative-atol",
         "nan-rtol", "infinite-atol", "rtol-below-floor", "empty-state", "zero-max-step",
         "negative-max-step", "nan-max-step", "max-step-1e-6", "max-step-1e-300",
         "atol-subnormal"])

@@ -28,7 +28,6 @@ UNCONSUMED_EXPORTS = {
         "c_from_omega",
         "classical_dh_omega_field",
         "tod_hitchin_omega1",
-        "constraint_residual",
         "lambda_conformal_factor",
     )
 }
@@ -106,6 +105,18 @@ def test_no_module_imports_a_private_name_of_another():
 def test_only_theta_log_jets_runs_the_theta_kernel():
     front_door = {("qseries", "theta_log_jets")}
     assert functions_where(reads("_theta_jets")) == front_door
+
+
+def test_only_the_two_parameter_family_reads_characteristic_thetas():
+    # theta2-theta4 come from theta_log_jets everywhere; outside qseries the
+    # characteristic sums serve the (p, q) family alone (ROADMAP item 7)
+    names = ("theta_char_eval", "theta_char_dz", "ThetaCharacteristics")
+    readers = set().union(*(functions_where(reads(name)) for name in names))
+    assert {(module, fn) for module, fn in readers if module != "qseries"} == {
+        ("bianchi", "tod_hitchin_omega1"),
+        ("bianchi", "lambda_conformal_factor"),
+    }
+    assert not set(names) & loaded_names(MODULES["cli"])
 
 
 def test_one_rule_counts_theta_terms():
