@@ -253,8 +253,8 @@ def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
         domega, da = coupled_field(y[:3], y[3:])
         return domega + da
 
-    return rk.integrate(f, t0, t1, (*initial_omega, *theta_A_solution(t0)),
-                        rtol=tol, atol=tol, max_step=max_step, width=3)
+    return rk.integrate(f, t0, t1, (*initial_omega, *theta_A_solution(t0)), tol,
+                        max_step=max_step, width=3)
 
 
 def flat_family_jet(t: float, q0: float):

@@ -91,8 +91,8 @@ def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) ->
     t0 = tau_complex(tau0)
     t1 = tau_complex(tau1)
     try:
-        return rk.integrate(lambda tau, y: dh_vector_field(y), t0, t1, initial, rtol=tol,
-                            atol=tol, max_step=max_step)
+        return rk.integrate(lambda tau, y: dh_vector_field(y), t0, t1, initial, tol,
+                            max_step=max_step)
     except rk.IntegrationBlowUp as exc:
         exc.args = ("Darboux-Halphen integration stopped near tau=%r: %s"
                     % (exc.t_reached, exc),)

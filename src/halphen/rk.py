@@ -6,10 +6,12 @@ control (Prince & Dormand, J. Comput. Appl. Math. 7 (1981) 67-75; Hairer,
 Norsett & Wanner, Solving ODEs I, II.10).  A state between mesh points is
 one more step of the same method, from the mesh point before it (II.6).  The
 state vector may be complex, and the integration runs along the straight
-segment t0 -> t1, real or complex, in real steps of arc length.  Blow-up - a
-non-finite state or overflow, or a step size below machine resolution - raises
-IntegrationBlowUp instead of silently clipping, and so does a spent budget of
-MAX_STEPS attempted steps (stiffness or a long span, not a blow-up).
+segment t0 -> t1, real or complex, in real steps of arc length, to one
+tolerance, absolute and relative; arguments out of range are refused before f
+is called.  Blow-up - a non-finite state or overflow, or a step size below
+machine resolution - raises IntegrationBlowUp instead of silently clipping, and
+so does a spent budget of MAX_STEPS attempted steps (stiffness or a long span,
+not a blow-up).
 
 Pure Python: states are tuples of complex, and f(t, y) receives such a
 tuple and may return any sequence of numbers of the state's length.  For each
@@ -103,12 +105,11 @@ _ATTEMPTS: dict = {}
 def _attempt(n: int):
     """The DOP853 attempt for states of n components, generated once per n.
     attempt(f, t, y, f0, h), f0 = f(t, y), is the eighth-order state y_new at
-    t + h, h complex on a complex segment, after 11 calls of f; given rtol and
-    atol it then calls f there and returns (y_new, f(t + h, y_new), n5, n3,
-    sq), or None if y_new or a stage derivative is not finite.  nX sums
-    |eX * (1/w)|**2 and sq |e5|**2 over the components, eX the rows EX of the
-    derivatives and w = atol + rtol*max(|y|, |y_new|).  abs is this module's,
-    looked up per call."""
+    t + h, h complex on a complex segment, after 11 calls of f; given tol it
+    then calls f there and returns (y_new, f(t + h, y_new), n5, n3, sq), or
+    None if y_new or a stage derivative is not finite.  nX sums |eX * w|**2
+    and sq |e5|**2 over the components, eX the rows EX of the derivatives and
+    w = 1/(tol + tol*max(|y|, |y_new|)); abs is this module's, looked up per call."""
     attempt = _ATTEMPTS.get(n)
     if attempt is None:
         comps = range(n)
@@ -123,19 +124,19 @@ def _attempt(n: int):
         body += ["%s= f(t + %r * h, (%s))" % (names("k%d_" % i), C[i], "".join(
             "y%d + h * (%s), " % (j, row(A[i], j)) for j in comps)) for i in range(1, 12)]
         body += ["z%d = y%d + h * (%s)" % (j, j, row(B, j)) for j in comps]
-        body += ["y_new = (%s)" % names("z"), "if rtol is None:", "    return y_new",
+        body += ["y_new = (%s)" % names("z"), "if tol is None:", "    return y_new",
                  "%s= k12 = f(t + h, y_new)" % names("k12_"),
                  "if not all(map(cmath.isfinite, (%s%s))):" % (
                      names("z"), "".join(names("k%d_" % i) for i in range(1, 13))),
                  "    return None", "n5 = n3 = sq = 0.0"]
         for j in comps:
-            body += ["w = 1.0 / (atol + rtol * max(abs(y%d), abs(z%d)))" % (j, j),
+            body += ["w = 1.0 / (tol + tol * max(abs(y%d), abs(z%d)))" % (j, j),
                      "e = %s" % row(E5, j), "r5 = abs(e * w)",
                      "r3 = abs((%s) * w)" % row(E3, j),
                      "n5 += r5 * r5", "n3 += r3 * r3", "sq += abs(e) ** 2"]
         body.append("return y_new, k12, n5, n3, sq")
         namespace: dict = {}
-        exec("def attempt(f, t, y, f0, h, rtol=None, atol=None):\n    "
+        exec("def attempt(f, t, y, f0, h, tol=None):\n    "
              + "\n    ".join(body), globals(), namespace)
         _ATTEMPTS[n] = attempt = namespace["attempt"]
     return attempt
@@ -227,8 +228,9 @@ def _rms_scaled(e, scale) -> float:
     return math.sqrt(total / len(scale))
 
 
-def _initial_step(f, t0, y0, f0, u, span, rtol, atol):
-    scale = [atol + rtol * abs(v) for v in y0]
+def _initial_step(f, t0, y0, f0, u, span, tol):
+    """Hairer's first step on the scale tol + tol*|y0|: at most 1e-4*span for small y0 or f0."""
+    scale = [tol + tol * abs(v) for v in y0]
     d0 = _rms_scaled(y0, scale)
     d1 = _rms_scaled(f0, scale)
     h0 = 1e-6 * span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -242,8 +244,7 @@ def _initial_step(f, t0, y0, f0, u, span, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.inf,
-              width=None) -> RkSolution:
+def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None) -> RkSolution:
     """Integrate dy/dt = f(t, y) along the straight segment t0 -> t1, real or
     complex, either way: each step is a real length h in (0, |t1 - t0|],
     at most max_step, along u = (t1 - t0)/|t1 - t0| (1.0 for real t0 < t1),
@@ -252,15 +253,16 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
 
     f receives the state as a tuple of complex and may return any sequence of
     numbers of the same length; ValueError if f(t0, y0) has another, and before
-    f is called if the segment, a tolerance, y0 or max_step is out of range, a
-    span below h_min = 16*eps*max(|t0|, |t1|, 1), rtol at or below 10*eps and a
-    subnormal atol included.  A step is accepted when Hairer's combined error
-    norm (below) is at most 1 with weights atol + rtol*max(|y|, |y_new|).
-    err_ests records, for each accepted step, the root mean square of the error
-    vector that norm accepted, so each is at most atol + rtol*max|y| over the
-    step's two ends.  err_ests hold floats and ys tuples of complex, so callers
-    need not convert them.  The budget of MAX_STEPS attempted steps is checked
-    before each attempt, so arriving on the last one succeeds.
+    f is called on a span below h_min = 16*eps*max(|t0|, |t1|, 1), a tol not
+    finite or at most 10*eps, an empty y0, or a max_step below h_min or too
+    small for MAX_STEPS steps to cover the span.  tol is the absolute and the
+    relative tolerance: a step is accepted when Hairer's combined error norm
+    (below) is at most 1 with weights tol + tol*max(|y|, |y_new|).  err_ests
+    records, for each accepted step, the root mean square of the error vector
+    that norm accepted, so each is at most tol + tol*max|y| over the step's two
+    ends.  err_ests hold floats and ys tuples of complex, so callers need not
+    convert them.  The budget of MAX_STEPS attempted steps is checked before
+    each attempt, so arriving on the last one succeeds.
     """
     kind = complex if isinstance(t1 - t0, complex) else float
     t0, t1 = kind(t0), kind(t1)
@@ -268,14 +270,9 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
     h_min = 16 * sys.float_info.epsilon * max(abs(t0), abs(t1), 1.0)
     if not h_min <= span < math.inf:  # a shorter span takes no step
         raise ValueError("t0 and t1 must be finite and distinct, at least %.3g apart" % h_min)
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
-        raise ValueError("tolerances must be positive and finite")
-    if rtol <= 10 * sys.float_info.epsilon:  # DOP853's own input check
-        raise ValueError("rtol=%g must exceed 10*eps=%.2g, the least DOP853 can meet"
-                         % (rtol, 10 * sys.float_info.epsilon))
-    if atol < sys.float_info.min:  # 1/(atol + rtol*|y|) overflows at y = 0
-        raise ValueError("atol=%g is below the least normal double %.3g"
-                         % (atol, sys.float_info.min))
+    if not 10 * sys.float_info.epsilon < tol < math.inf:  # DOP853's own input check
+        raise ValueError("tol=%g must be finite and exceed 10*eps=%.2g, the least DOP853 can "
+                         "meet" % (tol, 10 * sys.float_info.epsilon))
     y = tuple(complex(v) for v in y0)
     n = len(y)
     if not n:
@@ -283,6 +280,8 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
     if not span <= MAX_STEPS * max_step:  # also a max_step of 0, below 0 or NaN
         raise ValueError("max_step too small: the span takes %.3g steps, more than MAX_STEPS=%d"
                          % (span / max_step if max_step > 0 else math.inf, MAX_STEPS))
+    if max_step < h_min:  # no step would be long enough to take
+        raise ValueError("max_step=%g is below the step resolution %.3g" % (max_step, h_min))
     u = (t1 - t0) / span
     t = t0
     f_cur = f(t, y)
@@ -308,8 +307,8 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
         return blow_up("arithmetic overflow at t=%s (%s): solution blow-up"
                        % (t, exc.args[-1] if exc.args else exc))
 
-    try:  # a tiny atol makes the initial guess tiny, not the step the flow needs
-        h = min(max(_initial_step(f, t, y, f_cur, u, span, rtol, atol), h_min), max_step)
+    try:  # on a tiny span the guess, at most 100 * 1e-6 * span, may lie below h_min
+        h = min(max(_initial_step(f, t, y, f_cur, u, span, tol), h_min), max_step)
     except ArithmeticError as exc:  # d2 / h0 once h0 underflows to 0
         raise overflow(exc) from None
 
@@ -323,7 +322,7 @@ def integrate(f, t0, t1, y0, rtol: float, atol: float, max_step: float = math.in
                           % (t, max(map(abs, y))))
         attempts += 1
         try:
-            result = attempt(f, t, y, f_cur, h * u, rtol, atol)
+            result = attempt(f, t, y, f_cur, h * u, tol)
         except ArithmeticError as exc:  # abs(e) ** 2 past the largest double
             raise overflow(exc) from None
         if result is None:

@@ -118,10 +118,7 @@ def test_sd_residual_along_integrated_profile():
     # integrate the reduced flow itself (the anti branch decays, the
     # self-dual one hits a movable pole near r = 0.35), then substitute
     # central differences of at() between mesh points into the residual.
-    sol = integrate(
-        c_flow_rhs(ANTI_SELF_DUAL), 0.0, 0.5, [1.0, 1.2, 0.8],
-        rtol=1e-10, atol=1e-12, max_step=0.01,
-    )
+    sol = integrate(c_flow_rhs(ANTI_SELF_DUAL), 0.0, 0.5, [1.0, 1.2, 0.8], 1e-12, max_step=0.01)
     h = 1e-4
     for r in (0.1, 0.25, 0.4):
         c = tuple(x.real for x in sol.at(r))
@@ -134,10 +131,7 @@ def test_sd_residual_along_integrated_profile():
 def test_c_profile_maps_to_classical_omega_flow():
     # on the positive cone the reduced c-flow is the Omega flow of the same
     # branch: Omega = 2 c_j c_k must obey it.
-    sol = integrate(
-        c_flow_rhs(ANTI_SELF_DUAL), 0.0, 0.5, [1.0, 1.2, 0.8],
-        rtol=1e-10, atol=1e-12, max_step=0.01,
-    )
+    sol = integrate(c_flow_rhs(ANTI_SELF_DUAL), 0.0, 0.5, [1.0, 1.2, 0.8], 1e-12, max_step=0.01)
     h = 1e-4
     for r in (0.15, 0.3):
         omega = omega_from_c([x.real for x in sol.at(r)])
@@ -291,8 +285,7 @@ def test_omega_flow_endpoint_matches_the_theta_pinned_flow():
         t0 = rng.uniform(0.4, 1)
         t1 = t0 + rng.uniform(0.5, 2)
         try:
-            ref = integrate(lambda t, y: omega_field(y, t), t0, t1, omega,
-                            rtol=1e-14, atol=1e-14)
+            ref = integrate(lambda t, y: omega_field(y, t), t0, t1, omega, tol=1e-14)
         except IntegrationBlowUp:
             continue
         draws.append((omega, t0, t1, ref.ys[-1]))

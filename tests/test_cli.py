@@ -90,6 +90,10 @@ def test_negative_value_after_flag(capsys):
         # a --max-step too small for MAX_STEPS steps to cover the span
         ("dh integrate --t0 0,1 --t1 0,2 --max-step 1e-6", EXIT_USAGE),
         ("bianchi flow --t0 0.7 --t1 2 --initial 1,0.5,0.25 --max-step 1e-6", EXIT_USAGE),
+        # a --max-step below the step resolution on a span it could cover
+        ("dh integrate --t0 0,1 --t1 0,1.000000000000004 --max-step 1e-15", EXIT_USAGE),
+        ("bianchi flow --t0 1 --t1 1.000000000000004 --initial 1,1,1 --max-step 1e-15",
+         EXIT_USAGE),
         ("bianchi flat-family --q0 0.3 --steps 0", EXIT_USAGE),
         ("bianchi flat-family --q0=-1 --t0 0.5 --t1 1.5 --steps 3", EXIT_USAGE),  # pole
         ("bianchi flow --t0 0.7 --t1 0.5 --initial 1,0.5,0.25", EXIT_USAGE),
@@ -283,6 +287,16 @@ def test_a_span_just_above_the_step_resolution_integrates(capsys):
     assert code == EXIT_OK
     assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
         ["0.0", "1.0"], ["0.0", "1.000000000000004"]]
+
+
+@pytest.mark.parametrize("command", [
+    "dh integrate --t0 0,1 --t1 0,2", "bianchi flow --t0 0.7 --t1 2 --initial 1,0.5,0.25"])
+def test_a_tol_at_the_dop853_floor_is_a_usage_error_naming_tol(capsys, command):
+    code = main((command + " --tol 1e-16").split())
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("invalid input: tol=1e-16 must be finite and exceed 10*eps=2.2e-15, "
+                   "the least DOP853 can meet\n")
 
 
 def test_bianchi_flow_csv(capsys):

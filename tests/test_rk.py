@@ -50,20 +50,25 @@ def test_tableau_matches_scipy_dop853():
     assert np.array_equal(NP_E3, coeffs.E3[:12]) and coeffs.E3[12] == 0
 
 
-def squares(row, power=False):
-    """Sum over components 0-12 of the sparse row's |a|**2, left to right,
-    as a | a | * | a | product or, with power, as abs(a) ** 2."""
+def squares(row, weights=None):
+    """Sum over components 0-12 of the sparse row's |a w|**2, left to right,
+    as an |a * w| * |a * w| product or, without weights, as abs(a) ** 2."""
     total = 0.0
     for i in range(13):
-        r = abs(row.get(i, 0.0))
-        total += r ** 2 if power else r * r
+        a = row.get(i, 0.0)
+        if weights is None:
+            total += abs(a) ** 2
+        else:
+            r = abs(a * weights[i])
+            total += r * r
     return total
 
 
 def test_compiled_rows_return_their_coefficients():
     # in dimension 13, from y = 0 with h = 1 and stage j's derivative the unit
     # vector e_j, stage i is f at t = C[i] of row i of A and y_new is B, bit
-    # for bit; with unit weights the error sums are those of E5 and E3
+    # for bit; with y = 0 the weights are 1/(tol + tol*|B_j|), and the error
+    # sums are those of E5 and E3 over them
     unit = [[float(i == j) for i in range(13)] for j in range(13)]
     calls = []
 
@@ -71,19 +76,21 @@ def test_compiled_rows_return_their_coefficients():
         calls.append((t, y))
         return unit[len(calls)]
 
-    y_new, k12, n5, n3, sq = rk._attempt(13)(f, 0.0, (0.0,) * 13, unit[0], 1.0, 0.0, 1.0)
+    tol = 0.5
+    y_new, k12, n5, n3, sq = rk._attempt(13)(f, 0.0, (0.0,) * 13, unit[0], 1.0, tol)
     assert [t for t, _ in calls] == list(C[1:])
     for i, (_, y) in enumerate(calls, start=1):
         assert y == tuple(NP_A[i].tolist())
     assert calls[-1][1] is y_new and k12 is unit[12]
-    assert (n5, n3, sq) == (squares(E5), squares(E3), squares(E5, power=True))
+    weights = [1.0 / (tol + tol * abs(B.get(j, 0.0))) for j in range(13)]
+    assert (n5, n3, sq) == (squares(E5, weights), squares(E3, weights), squares(E5))
 
 
 @pytest.mark.parametrize("size", [2, 4])
 def test_rhs_of_the_wrong_length_is_refused(size):
     # zip would drop the components past the shorter of state and derivative
     with pytest.raises(ValueError, match="f returned %d components for a state of 3" % size):
-        integrate(lambda t, y: [-v for v in y + y][:size], 0.0, 1.0, [1, 2, 3], 1e-8, 1e-8)
+        integrate(lambda t, y: [-v for v in y + y][:size], 0.0, 1.0, [1, 2, 3], 1e-8)
 
 
 def test_rhs_that_changes_length_is_refused():
@@ -94,14 +101,13 @@ def test_rhs_that_changes_length_is_refused():
         return [-v for v in y][:2 if len(calls) > 5 else 3]
 
     with pytest.raises(ValueError, match="expected 3"):
-        integrate(f, 0.0, 1.0, [1, 2, 3], 1e-8, 1e-8)
+        integrate(f, 0.0, 1.0, [1, 2, 3], 1e-8)
 
 
 def test_at_meets_both_ends_of_each_step():
     # at a mesh point at() is the step's y_old, and just before the next
     # one its partial step reaches the step's y_new to rounding
-    sol = integrate(lambda t, y: [1j * v - 0.3 * t for v in y], 0.0, 4.0, [1.0 + 0.5j, 2j],
-                    rtol=1e-9, atol=1e-9)
+    sol = integrate(lambda t, y: [1j * v - 0.3 * t for v in y], 0.0, 4.0, [1.0 + 0.5j, 2j], 1e-9)
     assert len(sol.steps) > 5
     for i, (t_old, y_old) in enumerate(zip(sol.ts[:-1], sol.ys)):
         assert sol.at(t_old) is y_old
@@ -111,25 +117,23 @@ def test_at_meets_both_ends_of_each_step():
 
 
 def test_exponential_decay_accuracy():
-    sol = integrate(lambda t, y: [-v for v in y], 0.0, 3.0, [1.0 + 0j], rtol=1e-10, atol=1e-12)
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 3.0, [1.0 + 0j], tol=1e-12)
     assert abs(sol.ys[-1][0] - math.exp(-3)) < 1e-9
 
 
 def test_complex_rotation():
-    sol = integrate(
-        lambda t, y: [1j * v for v in y], 0.0, 2 * math.pi, [1.0 + 0j], rtol=1e-11, atol=1e-13
-    )
+    sol = integrate(lambda t, y: [1j * v for v in y], 0.0, 2 * math.pi, [1.0 + 0j], tol=1e-13)
     assert abs(sol.ys[-1][0] - 1.0) < 1e-8
 
 
 def test_at_against_closed_form():
-    sol = integrate(lambda t, y: [-v for v in y], 0.0, 2.0, [1.0 + 0j], rtol=1e-10, atol=1e-12)
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 2.0, [1.0 + 0j], tol=1e-12)
     for t in np.linspace(0.05, 1.95, 37):
         assert abs(sol.at(t)[0] - math.exp(-t)) < 1e-8
 
 
 def test_at_rejects_outside_interval():
-    sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0 + 0j], rtol=1e-8, atol=1e-10)
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0 + 0j], tol=1e-10)
     with pytest.raises(ValueError):
         sol.at(1.5)
 
@@ -153,7 +157,7 @@ def test_integration_keeps_no_per_step_stages():
 
 
 def test_nonautonomous_rhs():
-    sol = integrate(lambda t, y: [2 * t + 0j], 0.0, 1.5, [0j], rtol=1e-10, atol=1e-12)
+    sol = integrate(lambda t, y: [2 * t + 0j], 0.0, 1.5, [0j], tol=1e-12)
     assert abs(sol.ys[-1][0] - 2.25) < 1e-9
 
 
@@ -174,7 +178,7 @@ def test_linear_flow_along_a_segment(t0, t1):
     # any segment; the mesh runs from t0 to t1 itself, monotone along it
     tol = 1e-10
     y0 = (1 + 0.5j, -0.3j)
-    sol = integrate(linear, t0, t1, y0, rtol=tol, atol=tol)
+    sol = integrate(linear, t0, t1, y0, tol=tol)
     assert len(sol.steps) > 3 and sol.ts[0] == t0 and sol.ts[-1] == t1
     growth = cmath.exp(LAMBDA * (t1 - t0))
     for got, v in zip(sol.states[-1], y0):
@@ -194,7 +198,7 @@ def test_many_steps_along_a_diagonal_end_at_t1():
     # distance left is measured along u, and the mesh still stops at t1
     t0, t1 = -0.2 + 0.9j, 0.3 + 1.4j
     tol = 1e-10
-    sol = integrate(linear, t0, t1, (1.0,), rtol=tol, atol=tol, max_step=abs(t1 - t0) / 1000)
+    sol = integrate(linear, t0, t1, (1.0,), tol=tol, max_step=abs(t1 - t0) / 1000)
     assert 1000 <= len(sol.steps) <= 1001 and sol.ts[-1] == t1
     growth = cmath.exp(LAMBDA * (t1 - t0))
     assert abs(sol.states[-1][0] - growth) <= 10 * tol * abs(growth)
@@ -204,7 +208,7 @@ def test_many_steps_along_a_diagonal_end_at_t1():
 
 def test_at_stays_on_the_segment():
     t0, t1 = -0.2 + 0.9j, 0.3 + 1.4j
-    sol = integrate(linear, t0, t1, (1.0,), rtol=1e-10, atol=1e-10)
+    sol = integrate(linear, t0, t1, (1.0,), tol=1e-10)
     for t, y in zip(sol.ts, sol.ys):
         assert sol.at(t) is y  # a mesh point gives its mesh state
     for t in (0.5 * (t0 + t1) + 1e-3j, t1 + 1e-3 * (t1 - t0), t0 - 1e-3 * (t1 - t0)):
@@ -215,7 +219,7 @@ def test_at_stays_on_the_segment():
 def test_blowup_is_reported():
     # dy/dt = y^2 from y(0)=1 blows up at t=1.
     with pytest.raises(IntegrationBlowUp) as exc:
-        integrate(lambda t, y: [v * v for v in y], 0.0, 2.0, [1.0 + 0j], rtol=1e-8, atol=1e-10)
+        integrate(lambda t, y: [v * v for v in y], 0.0, 2.0, [1.0 + 0j], tol=1e-10)
     assert exc.value.t_reached < 2.0
     assert exc.value.t_reached == pytest.approx(1.0, abs=1e-2)
     assert exc.value.rhs_evals > 2 and (exc.value.rhs_evals - 2) % 12 == 0
@@ -225,7 +229,7 @@ def test_overflow_is_reported_as_a_blowup():
     # dy/dt = y^2 from y(0)=1e150 blows up at t=1e-150: the first-step guess
     # divides by a step that underflows to 0
     with pytest.raises(IntegrationBlowUp, match="^arithmetic overflow at t=0.0 ") as exc:
-        integrate(lambda t, y: [v * v for v in y], 0.0, 1.0, [1e150], rtol=1e-8, atol=1e-8)
+        integrate(lambda t, y: [v * v for v in y], 0.0, 1.0, [1e150], tol=1e-8)
     assert exc.value.t_reached == 0.0 and exc.value.rhs_evals == 2
 
 
@@ -236,63 +240,70 @@ def test_arrival_on_the_last_allowed_attempt_succeeds(monkeypatch):
         return [0j]
 
     monkeypatch.setattr(rk, "MAX_STEPS", 15)
-    sol = integrate(zero, 0.0, 1.0, [1.0], 1e-8, 1e-8, max_step=0.1)
+    sol = integrate(zero, 0.0, 1.0, [1.0], 1e-8, max_step=0.1)
     assert len(sol.steps) == 15 and sol.steps_rejected == 0
     assert sol.rhs_evals == 2 + 12 * 15 == 182
     assert sol.ts[-1] == 1.0
     monkeypatch.setattr(rk, "MAX_STEPS", 14)
     with pytest.raises(IntegrationBlowUp, match="step budget exhausted") as exc:
-        integrate(zero, 0.0, 1.0, [1.0], 1e-8, 1e-8, max_step=0.1)
+        integrate(zero, 0.0, 1.0, [1.0], 1e-8, max_step=0.1)
     assert exc.value.rhs_evals == 2 + 12 * 14 == 170
     assert exc.value.steps_rejected == 0 and exc.value.t_reached < 1.0
 
 
 def test_error_estimates_recorded():
-    sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0 + 0j], rtol=1e-9, atol=1e-11)
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0 + 0j], tol=1e-11)
     assert len(sol.err_ests) == len(sol.ts)
     assert all(e >= 0 for e in sol.err_ests)
     assert np.max(sol.err_ests[1:]) < 1e-8
 
 
-@pytest.mark.parametrize("t1, y0, rtol, atol, max_step, message", [
-    (0.0, [1.0], 1e-8, 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
-    (math.inf, [1.0], 1e-8, 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
-    (math.nan, [1.0], 1e-8, 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
+TOL_REFUSED = "must be finite and exceed 10\\*eps=2.2e-15, the least DOP853 can meet"
+
+
+# tol is both the relative and the absolute tolerance; the ids of its cases
+# name the role each value is refused in
+@pytest.mark.parametrize("t1, y0, tol, max_step, message", [
+    (0.0, [1.0], 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
+    (math.inf, [1.0], 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
+    (math.nan, [1.0], 1e-8, math.inf, "t0 and t1 must be finite and distinct"),
     # below h_min = 16*eps*max(|t0|, |t1|, 1) = 3.55e-15, a span takes no step
-    (1e-15, [1.0], 1e-8, 1e-8, math.inf,
+    (1e-15, [1.0], 1e-8, math.inf,
      "t0 and t1 must be finite and distinct, at least 3.55e-15 apart"),
-    (1.0, [1.0], 0.0, 1e-8, math.inf, "tolerances must be positive"),
-    (1.0, [1.0], 1e-8, -1e-8, math.inf, "tolerances must be positive"),
-    (1.0, [1.0], math.nan, 1e-8, math.inf, "tolerances must be positive"),
-    (1.0, [1.0], 1e-8, math.inf, math.inf, "tolerances must be positive and finite"),
-    (1.0, [1.0], 1e-20, 1e-8, math.inf, "rtol=1e-20 must exceed 10\\*eps=2.2e-15"),
-    (1.0, [], 1e-8, 1e-8, math.inf, "the state has no components"),
-    (1.0, [1.0], 1e-8, 1e-8, 0.0, "takes inf steps, more than MAX_STEPS=200000"),
-    (1.0, [1.0], 1e-8, 1e-8, -0.1, "takes inf steps"),
-    (1.0, [1.0], 1e-8, 1e-8, math.nan, "takes inf steps"),
-    (1.0, [1.0], 1e-8, 1e-8, 1e-6, "takes 1e\\+06 steps, more than MAX_STEPS=200000"),
-    (1.0, [1.0], 1e-8, 1e-8, 1e-300, "takes 1e\\+300 steps"),
-    (1.0, [0.0], 1e-10, 1e-310, math.inf, "atol=1e-310 is below the least normal double"),
+    (1.0, [1.0], 0.0, math.inf, "tol=0 " + TOL_REFUSED),
+    (1.0, [1.0], -1e-8, math.inf, "tol=-1e-08 " + TOL_REFUSED),
+    (1.0, [1.0], math.nan, math.inf, "tol=nan " + TOL_REFUSED),
+    (1.0, [1.0], math.inf, math.inf, "tol=inf " + TOL_REFUSED),
+    (1.0, [1.0], 1e-20, math.inf, "tol=1e-20 " + TOL_REFUSED),
+    (1.0, [1.0], 10 * sys.float_info.epsilon, math.inf, "tol=2.22045e-15 " + TOL_REFUSED),
+    (1.0, [], 1e-8, math.inf, "the state has no components"),
+    (1.0, [1.0], 1e-8, 0.0, "takes inf steps, more than MAX_STEPS=200000"),
+    (1.0, [1.0], 1e-8, -0.1, "takes inf steps"),
+    (1.0, [1.0], 1e-8, math.nan, "takes inf steps"),
+    (1.0, [1.0], 1e-8, 1e-6, "takes 1e\\+06 steps, more than MAX_STEPS=200000"),
+    (1.0, [1.0], 1e-8, 1e-300, "takes 1e\\+300 steps"),
+    # few enough steps for MAX_STEPS, but each shorter than h_min
+    (1e-14, [1.0], 1e-8, 1e-15, "max_step=1e-15 is below the step resolution 3.55e-15"),
 ], ids=["empty-span", "infinite-span", "nan-t1", "tiny-span", "zero-rtol", "negative-atol",
-        "nan-rtol", "infinite-atol", "rtol-below-floor", "empty-state", "zero-max-step",
-        "negative-max-step", "nan-max-step", "max-step-1e-6", "max-step-1e-300",
-        "atol-subnormal"])
-def test_invalid_arguments(t1, y0, rtol, atol, max_step, message):
+        "nan-rtol", "infinite-atol", "rtol-below-floor", "tol-at-floor", "empty-state",
+        "zero-max-step", "negative-max-step", "nan-max-step", "max-step-1e-6",
+        "max-step-1e-300", "max-step-below-resolution"])
+def test_invalid_arguments(t1, y0, tol, max_step, message):
     # refused before the first call of f, which would raise otherwise
     def f(t, y):
         raise AssertionError("f called")
 
     with pytest.raises(ValueError, match=message):
-        integrate(f, 0.0, t1, y0, rtol=rtol, atol=atol, max_step=max_step)
+        integrate(f, 0.0, t1, y0, tol=tol, max_step=max_step)
 
 
-@pytest.mark.parametrize("atol", [1e-114, 1e-300, sys.float_info.min])
-def test_a_tiny_atol_is_no_blow_up(atol):
-    # with y0 = 0 the initial guess scales with atol**(1/8); the first step
-    # starts no lower than h_min
-    sol = integrate(lambda t, y: [1.0], 0.0, 1.0, [0.0], rtol=1e-10, atol=atol)
-    assert sol.ts[-1] == 1.0
-    assert abs(sol.ys[-1][0] - 1.0) <= 1e-9
+def test_a_tiny_span_starts_at_h_min():
+    # with y0 = 0 the initial guess is 100 * 1e-6 * span = 1e-16 here, below
+    # h_min = 16*eps; the first step starts at h_min and the mesh reaches t1
+    sol = integrate(lambda t, y: [1.0], 0.0, 1e-12, [0.0], tol=1e-10)
+    assert sol.steps[0] == 16 * sys.float_info.epsilon
+    assert sol.ts[-1] == 1e-12
+    assert abs(sol.ys[-1][0] - 1e-12) <= 1e-10 * 1e-12
 
 
 # -- numpy reference integrator ------------------------------------------------------

@@ -2,14 +2,15 @@
 is the one numeric front door to theta2-theta4, qseries.theta_term_count
 the one rule for how many terms a theta sum takes, no halphen module reaches
 into another's private names, a parameter takes one type rather than a
-record or its tuple, every exported name has a consumer, and every
-module-level import is read."""
+record or its tuple, integration takes one tolerance, every exported name
+has a consumer, and every module-level import is read."""
 
 import ast
 import importlib
 import pathlib
 
 import halphen
+from halphen import rk
 
 SRC = pathlib.Path(halphen.__file__).parent
 MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
@@ -213,6 +214,25 @@ def test_no_function_tests_for_a_record_type():
         )
 
     assert functions_where(isinstance_of_record) == set()
+
+
+def test_integration_takes_one_tolerance():
+    # tol is both the absolute and the relative tolerance: no function, the
+    # generated DOP853 attempt included, takes rtol or atol, and no call
+    # passes either
+    split = {"rtol", "atol"}
+    found = set()
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                found.update((module, p.arg) for p in params if p and p.arg in split)
+            elif isinstance(node, ast.Call):
+                found.update((module, k.arg) for k in node.keywords if k.arg in split)
+    code = rk._attempt(1).__code__
+    found.update(("rk", name) for name in code.co_varnames[:code.co_argcount] if name in split)
+    assert found == set()
 
 
 def test_every_export_has_a_consumer():
