@@ -306,6 +306,20 @@ def test_a_tiny_span_starts_at_h_min():
     assert abs(sol.ys[-1][0] - 1e-12) <= 1e-10 * 1e-12
 
 
+@pytest.mark.parametrize("atol", [1e-114, 1e-300, sys.float_info.min])
+def test_a_tiny_atol_is_no_blow_up(atol):
+    # y' = 1, y0 = 0 on [0, T] with T = tol/atol is z' = 1 on [0, 1] for
+    # z = y/T, tau = t/T, with the weights atol + tol*|z| on z: a tiny
+    # absolute weight.  The guess lies below h_min = 16*eps*T, so the first
+    # step starts at h_min, and the mesh reaches T
+    tol = 1e-10
+    T = tol / atol
+    sol = integrate(lambda t, y: [1.0], 0.0, T, [0.0], tol=tol)
+    assert sol.steps[0] == 16 * sys.float_info.epsilon * T
+    assert sol.ts[-1] == T
+    assert abs(sol.ys[-1][0] / T - 1.0) <= 1e-9
+
+
 # -- numpy reference integrator ------------------------------------------------------
 #
 # A numpy DOP853 kept as an oracle: the same tableau and step control on
