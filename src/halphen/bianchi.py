@@ -243,7 +243,8 @@ def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
     (initial_omega, theta_A_solution(t0)), 0 < t0 < t1.  The Darboux-Halphen
     flow through the theta A at t0 is the theta solution, so A stays on it
     to the tolerance and theta is evaluated once per flow.  The solution's
-    states are the Omega components; its err_ests cover all six."""
+    states are the Omega components, floats for a real initial_omega; its
+    err_ests cover all six."""
     from . import rk  # here, so the commands that never integrate skip it
 
     if not t0 < t1:

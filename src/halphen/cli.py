@@ -286,7 +286,8 @@ def cmd_bianchi_flow(args):
     columns = [("t", traj.ts), ("omega", traj.states), ("err_est", traj.err_ests)]
     results = {
         "steps": len(traj) - 1,
-        "endpoint": {"t": traj.ts[-1], "omega": traj.states[-1]},
+        # complex, so the JSON keeps its [re, im] pairs for a real flow
+        "endpoint": {"t": traj.ts[-1], "omega": [complex(v) for v in traj.states[-1]]},
         "max_err_est": max(traj.err_ests),
     }
     return results, True, columns

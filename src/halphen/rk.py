@@ -1,4 +1,4 @@
-"""Adaptive embedded Runge-Kutta integration for complex-valued systems.
+"""Adaptive embedded Runge-Kutta integration for real or complex systems.
 
 Dormand-Prince 8(5,3), the eighth-order pair of Prince & Dormand as DOP853:
 FSAL, Hairer's combined fifth/third-order error estimate and PI step-size
@@ -13,8 +13,9 @@ machine resolution - raises IntegrationBlowUp instead of silently clipping, and
 so does a spent budget of MAX_STEPS attempted steps (stiffness or a long span,
 not a blow-up).
 
-Pure Python: states are tuples of complex, and f(t, y) receives such a
-tuple and may return any sequence of numbers of the state's length.  For each
+Pure Python: states are tuples of float for a real flow, else of complex,
+and f(t, y) receives such a tuple and may return any sequence of numbers of
+the state's length; a real flow steps bit for bit as its complex twin.  For each
 length, one attempted step is generated as straight-line code on scalars,
 as DOP853 writes it: per component, each stage sum term by term, added left
 to right in stage order (explicit +, not sum(), which compensates float sums
@@ -28,6 +29,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import numbers
 import sys
 
 __all__ = ["IntegrationBlowUp", "RkSolution", "integrate"]
@@ -165,10 +167,10 @@ class IntegrationBlowUp(ArithmeticError):
 
 class RkSolution:
     """Accepted mesh ts on the segment, in the caller's variable and ending
-    at t1 itself; mesh states ys, and states, their first width components
-    (ys itself if width is None); per-step local error estimates, which
-    cover the whole state; the length h of each accepted step; and the
-    right-hand side f that at() steps with between mesh points.
+    at t1 itself; mesh states ys (floats for a real flow), and states, their
+    first width components (ys itself if width is None); per-step local error
+    estimates, which cover the whole state; the length h of each accepted
+    step; and the right-hand side f that at() steps with between mesh points.
 
     rhs_evals counts the calls of f, at()'s included, and steps_rejected the
     attempted steps the controller refused; the accepted ones are the steps."""
@@ -251,7 +253,8 @@ def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None)
     with stage i at t + C[i]*h*u.  The last mesh point is t1 exactly, and
     width, if given, cuts the states to their first width components.
 
-    f receives the state as a tuple of complex and may return any sequence of
+    f receives the state as a tuple, of float if the segment, y0 and f(t0, y0)
+    are all real (numbers.Real), else of complex, and may return any sequence of
     numbers of the same length; ValueError if f(t0, y0) has another, and before
     f is called on a span below h_min = 16*eps*max(|t0|, |t1|, 1), a tol not
     finite or at most 10*eps, an empty y0, or a max_step below h_min or too
@@ -260,7 +263,7 @@ def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None)
     (below) is at most 1 with weights tol + tol*max(|y|, |y_new|).  err_ests
     records, for each accepted step, the root mean square of the error vector
     that norm accepted, so each is at most tol + tol*max|y| over the step's two
-    ends.  err_ests hold floats and ys tuples of complex, so callers need not
+    ends.  err_ests hold floats and ys tuples of one type, so callers need not
     convert them.  The budget of MAX_STEPS attempted steps is checked before
     each attempt, so arriving on the last one succeeds.
     """
@@ -273,7 +276,8 @@ def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None)
     if not 10 * sys.float_info.epsilon < tol < math.inf:  # DOP853's own input check
         raise ValueError("tol=%g must be finite and exceed 10*eps=%.2g, the least DOP853 can "
                          "meet" % (tol, 10 * sys.float_info.epsilon))
-    y = tuple(complex(v) for v in y0)
+    real = kind is float and all(isinstance(v, numbers.Real) for v in y0)
+    y = tuple(map(float if real else complex, y0))
     n = len(y)
     if not n:
         raise ValueError("the state has no components")
@@ -289,6 +293,8 @@ def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None)
         raise ValueError("f returned %d components for a state of %d" % (len(f_cur), n))
     if not all(map(cmath.isfinite, f_cur)):
         raise IntegrationBlowUp("non-finite derivative at the initial point", t, 1, 0)
+    if real and not all(isinstance(v, numbers.Real) for v in f_cur):
+        y = tuple(map(complex, y))  # f leaves the real line, so the flow is complex
     attempt = _attempt(n)
     ts = [t]
     ys = [y]

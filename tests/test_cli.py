@@ -1,12 +1,13 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from halphen import cli, dh, qseries, rk
+from halphen import bianchi, cli, dh, qseries, rk
 from halphen.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -307,6 +308,25 @@ def test_bianchi_flow_csv(capsys):
     assert code == EXIT_OK
     lines = out.strip().splitlines()
     assert lines[0] == "t,omega1_re,omega1_im,omega2_re,omega2_im,omega3_re,omega3_im,err_est"
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29, 131])
+def test_bianchi_flow_json_endpoint_is_the_last_csv_row(capsys, seed):
+    # the flow is real, and its JSON endpoint keeps the [re, im] pairs of a
+    # complex Omega, the numbers of the CSV's last row
+    rng = random.Random(seed)
+    q0, t0 = 0.1 + 0.9 * rng.random(), 0.4 + 0.6 * rng.random()
+    argv = ["bianchi", "flow", "--t0", repr(t0), "--t1", repr(t0 + 0.5 + 1.5 * rng.random()),
+            "--initial", ",".join(map(repr, bianchi.flat_family(t0, q0).omega)),
+            "--tol", rng.choice(["1e-8", "1e-10", "1e-12"])]
+    code, report = run_json(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    omega = report["results"]["endpoint"]["omega"]
+    assert len(omega) == 3 and all(len(pair) == 2 and pair[1] == 0.0 for pair in omega)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    last = [float(cell) for cell in out.splitlines()[-1].split(",")]
+    assert last[:7] == [report["results"]["endpoint"]["t"], *(v for pair in omega for v in pair)]
 
 
 def test_bianchi_flat_family_csv_and_gate(capsys):

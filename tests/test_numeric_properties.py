@@ -135,6 +135,70 @@ def test_omega_flow_matches_flat_family_to_the_tolerance(q0, t0, t1, tol):
     assert_err_ests_within_weights(traj, tol)
 
 
+# -- a real flow steps as its complex twin -----------------------------------------------
+
+
+def assert_twins(real, twin, mid):
+    """real, from a real start, steps as twin, from the same start as
+    complex: the same ts, err_ests and counts, and real's float states are
+    twin's complex ones, whose imaginary parts are zero, at mid between mesh
+    points too.  == tells apart all but the sign of a zero."""
+    assert (real.ts, real.err_ests) == (twin.ts, twin.err_ests)
+    assert (real.rhs_evals, real.steps_rejected) == (twin.rhs_evals, twin.steps_rejected)
+    for y, z in zip(real.ys + [real.at(mid)], twin.ys + [twin.at(mid)]):
+        assert {type(v) for v in y} == {float} and {type(v) for v in z} == {complex}
+        assert all(v.imag == 0 for v in z) and tuple(map(complex, y)) == z
+
+
+@st.composite
+def real_polynomial_systems(draw):
+    """(f, y0): f_i = a_i t + sum_j L_ij y_j + q_i y_i y_(i-1) in 1-3
+    components, with |a_i|, |y0_i| <= 1, |L_ij| <= 1/2 and |q_i| <= 1/4:
+    max|y| stays below the solution of m' = 2 + 3m/2 + m**2/4, m(0) = 1,
+    which is finite for 1.02 past the start."""
+    n = draw(st.integers(1, 3))
+
+    def reals(bound):
+        return st.lists(st.floats(-bound, bound), min_size=n, max_size=n)
+
+    a, q = draw(reals(1.0)), draw(reals(0.25))
+    lin = draw(st.lists(reals(0.5), min_size=n, max_size=n))
+
+    def f(t, y):  # summed by an explicit loop: Python 3.12+'s sum() compensates float sums
+        out = []
+        for i in range(n):
+            v = a[i] * t + q[i] * y[i] * y[i - 1]
+            for c, u in zip(lin[i], y):
+                v = v + c * u
+            out.append(v)
+        return out
+
+    return f, tuple(draw(reals(1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_polynomial_systems(), st.floats(-1.0, 1.0), st.floats(0.1, 1.0), tolerances)
+def test_a_real_polynomial_flow_steps_as_its_complex_twin(system, t0, span, tol):
+    f, y0 = system
+    t1 = t0 + span
+    real = rk.integrate(f, t0, t1, y0, tol)
+    twin = rk.integrate(f, t0, t1, tuple(map(complex, y0)), tol)
+    assert_twins(real, twin, t0 + 0.37 * span)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), tolerances)
+def test_the_omega_flow_steps_as_its_complex_twin(rng, tol):
+    # the benchmark's starts: flat_family(t0, q0), q0 in [0.1, 1], t0 in
+    # [0.4, 1], t1 - t0 in [0.5, 2]
+    q0, t0 = 0.1 + 0.9 * rng.random(), 0.4 + 0.6 * rng.random()
+    t1 = t0 + 0.5 + 1.5 * rng.random()
+    omega = bianchi.flat_family(t0, q0).omega
+    real = bianchi.omega_theta_flow(omega, t0, t1, tol)
+    twin = bianchi.omega_theta_flow(tuple(map(complex, omega)), t0, t1, tol)
+    assert_twins(real, twin, 0.5 * (t0 + t1))
+
+
 def left_to_right(row, k, i):
     """Component i of sum_j a_j k_j over the sparse row, in stage order, by
     an explicit loop: Python 3.12+'s sum() compensates float sums."""

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -318,6 +319,50 @@ def test_a_tiny_atol_is_no_blow_up(atol):
     assert sol.steps[0] == 16 * sys.float_info.epsilon * T
     assert sol.ts[-1] == T
     assert abs(sol.ys[-1][0] / T - 1.0) <= 1e-9
+
+
+# -- the number type of the state ----------------------------------------------------
+
+
+def types_of(sol):
+    """The set of types of every component of every mesh state."""
+    return {type(v) for y in sol.ys for v in y}
+
+
+def test_a_real_flow_stays_real():
+    # real segment, real y0 and real f: the state is float, ints and
+    # Fractions coerced, and so is a state that at() takes between mesh points
+    sol = integrate(lambda t, y: [-v + 0.1 * t for v in y], 0.0, 2.0,
+                    [1, 0.5, Fraction(1, 4)], 1e-10)
+    assert len(sol.steps) > 3 and types_of(sol) == {float}
+    assert sol.ys[0] == (1.0, 0.5, 0.25)
+    assert all(isinstance(v, float) for v in sol.at(0.77))
+    assert abs(sol.ys[-1][0] - (1.1 * math.exp(-2) + 0.1)) < 1e-9  # 0.1 (t - 1) + 1.1 e**-t
+
+
+def test_a_complex_start_on_a_real_segment_is_complex():
+    sol = integrate(lambda t, y: [-v for v in y], 0.0, 1.0, [1.0, 0.5 + 0j], 1e-10)
+    assert types_of(sol) == {complex}
+
+
+def test_a_real_start_that_f_takes_off_the_real_line_is_complex():
+    # y' = i y from y0 = 1.0: complex from the first mesh point on, the same
+    # mesh as from 1 + 0j
+    def f(t, y):
+        return [1j * v for v in y]
+
+    sol = integrate(f, 0.0, 1.0, [1.0], 1e-12)
+    assert type(sol.ys[0][0]) is complex and types_of(sol) == {complex}
+    twin = integrate(f, 0.0, 1.0, [1 + 0j], 1e-12)
+    assert (sol.ts, sol.ys, sol.err_ests) == (twin.ts, twin.ys, twin.err_ests)
+    assert abs(sol.ys[-1][0] - cmath.exp(1j)) < 1e-10
+
+
+def test_a_complex_segment_is_complex():
+    # dh_integrate from a real-valued state along tau: the segment is complex
+    sol = dh.dh_integrate((0.1, 0.2, 0.3), 1j, 1.2j, 1e-10)
+    assert types_of(sol) == {complex}
+    assert {type(t) for t in sol.ts} == {complex}
 
 
 # -- numpy reference integrator ------------------------------------------------------
