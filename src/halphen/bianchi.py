@@ -238,13 +238,12 @@ def omega_field(omega, t: float) -> tuple:
 
 
 def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
-                     max_step: float = math.inf) -> rk.RkSolution:
+                     max_step: float = math.inf):
     """Integrate the coupled Omega/A system along real time from
-    (initial_omega, theta_A_solution(t0)), 0 < t0 < t1.  The Darboux-Halphen
-    flow through the theta A at t0 is the theta solution, so A stays on it
-    to the tolerance and theta is evaluated once per flow.  The solution's
-    states are the Omega components, floats for a real initial_omega; its
-    err_ests cover all six."""
+    (initial_omega, theta_A_solution(t0)), 0 < t0 < t1, into an rk.RkSolution
+    whose states are (*Omega, *A), floats for a real initial_omega.  The
+    Darboux-Halphen flow through the theta A at t0 is the theta solution, so
+    A stays on it to the tolerance and theta is evaluated once per flow."""
     from . import rk  # here, so the commands that never integrate skip it
 
     if not t0 < t1:
@@ -254,8 +253,7 @@ def omega_theta_flow(initial_omega, t0: float, t1: float, tol: float,
         domega, da = coupled_field(y[:3], y[3:])
         return domega + da
 
-    return rk.integrate(f, t0, t1, (*initial_omega, *theta_A_solution(t0)), tol,
-                        max_step=max_step, width=3)
+    return rk.integrate(f, t0, t1, (*initial_omega, *theta_A_solution(t0)), tol, max_step)
 
 
 def flat_family_jet(t: float, q0: float):

@@ -283,11 +283,12 @@ def cmd_bianchi_flow(args):
     traj = bianchi.omega_theta_flow(
         args.initial, args.t0, args.t1, tol=args.tol, max_step=args.max_step or math.inf
     )
-    columns = [("t", traj.ts), ("omega", traj.states), ("err_est", traj.err_ests)]
+    omegas = [y[:3] for y in traj.states]  # each state is (*Omega, *A)
+    columns = [("t", traj.ts), ("omega", omegas), ("err_est", traj.err_ests)]
     results = {
         "steps": len(traj) - 1,
         # complex, so the JSON keeps its [re, im] pairs for a real flow
-        "endpoint": {"t": traj.ts[-1], "omega": [complex(v) for v in traj.states[-1]]},
+        "endpoint": {"t": traj.ts[-1], "omega": [complex(v) for v in omegas[-1]]},
         "max_err_est": max(traj.err_ests),
     }
     return results, True, columns

@@ -81,9 +81,10 @@ def darboux_condition_residual(state):
 # -- numeric integration -------------------------------------------------------
 
 
-def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf) -> rk.RkSolution:
-    """Integrate the flow along the straight segment tau0 -> tau1, with tol
-    as both absolute and relative tolerance and max_step a bound on |dtau|.
+def dh_integrate(initial, tau0, tau1, tol: float, max_step: float = math.inf):
+    """Integrate the flow along the straight segment tau0 -> tau1 into an
+    rk.RkSolution, with tol as both absolute and relative tolerance and
+    max_step a bound on |dtau|.
     rk.IntegrationBlowUp (the flow has movable poles, or the step budget is
     spent) is re-raised with the last trusted tau prefixed to its message."""
     from . import rk  # here, so the commands that never integrate skip it

@@ -13,15 +13,16 @@ machine resolution - raises IntegrationBlowUp instead of silently clipping, and
 so does a spent budget of MAX_STEPS attempted steps (stiffness or a long span,
 not a blow-up).
 
-Pure Python: states are tuples of float for a real flow, else of complex,
-and f(t, y) receives such a tuple and may return any sequence of numbers of
-the state's length; a real flow steps bit for bit as its complex twin.  For each
-length, one attempted step is generated as straight-line code on scalars,
-as DOP853 writes it: per component, each stage sum term by term, added left
-to right in stage order (explicit +, not sum(), which compensates float sums
-on Python 3.12+), and the error sums in one pass.  f is called twice at the
-start and twelve times per attempted step, and RkSolution.at calls it twelve
-times for each state it takes between mesh points.
+Pure Python: states are tuples of float for a real flow, else of complex, and
+f(t, y) receives such a tuple and may return any sequence of numbers of the
+state's length; a real flow steps bit for bit as its complex twin.  The mesh
+keeps whole states, so a flow continues from its last one.  For each length,
+one attempted step is generated as straight-line code on scalars, as DOP853
+writes it: per component, each stage sum term by term, added left to right in
+stage order (explicit +, not sum(), which compensates float sums on Python
+3.12+), and the error sums in one pass.  f is called twice at the start and
+twelve times per attempted step, and RkSolution.at calls it twelve times for
+each state it takes between mesh points.
 """
 
 from __future__ import annotations
@@ -167,42 +168,40 @@ class IntegrationBlowUp(ArithmeticError):
 
 class RkSolution:
     """Accepted mesh ts on the segment, in the caller's variable and ending
-    at t1 itself; mesh states ys (floats for a real flow), and states, their
-    first width components (ys itself if width is None); per-step local error
-    estimates, which cover the whole state; the length h of each accepted
-    step; and the right-hand side f that at() steps with between mesh points.
+    at t1 itself; the whole states there; per-step local error estimates;
+    the length h of each accepted step; and the right-hand side f, with
+    which at() steps between mesh points and integrate(f, ts[-1], t2,
+    states[-1], tol) continues the flow.
 
     rhs_evals counts the calls of f, at()'s included, and steps_rejected the
     attempted steps the controller refused; the accepted ones are the steps."""
 
-    __slots__ = ("ts", "ys", "states", "err_ests", "steps", "f", "width", "rhs_evals",
-                 "steps_rejected")
+    __slots__ = ("ts", "states", "err_ests", "steps", "f", "rhs_evals", "steps_rejected")
 
-    def __init__(self, ts, ys, err_ests, steps, f, rhs_evals, steps_rejected, width=None):
+    def __init__(self, ts, states, err_ests, steps, f, rhs_evals, steps_rejected):
         self.ts = ts
-        self.ys = ys
-        self.states = ys if width is None else [y[:width] for y in ys]
+        self.states = states
         self.err_ests = err_ests
         self.steps = steps
         self.f = f
-        self.width = width
         self.rhs_evals = rhs_evals
         self.steps_rejected = steps_rejected
 
     @property
     def omegas(self):
-        """Read-only alias of states, the name the benchmark reads the Omega flow's under."""
+        """Read-only alias of states, the name the benchmark reads the Omega
+        flow's under; it compares their first three components, the Omega."""
         return self.states
 
     def __len__(self):
         return len(self.ts)
 
     def at(self, t) -> tuple:
-        """State at a point t of the integrated segment, cut to width.  At a
-        mesh point or the end of the mesh it is that mesh state; elsewhere it
-        is one step of the method from the last mesh point before t to t, 12
-        calls of f and nothing kept: an eighth-order interpolant which meets
-        both ends of the accepted step to rounding."""
+        """State at a point t of the integrated segment.  At a mesh point or
+        the end of the mesh it is that mesh state; elsewhere it is one step
+        of the method from the last mesh point before t to t, 12 calls of f
+        and nothing kept: an eighth-order interpolant which meets both ends
+        of the accepted step to rounding."""
         t0, t1 = self.ts[0], self.ts[-1]
         span = abs(t1 - t0)
         u = (t1 - t0) / span
@@ -210,12 +209,11 @@ class RkSolution:
         if not (abs(s.imag) <= 1e-9 * span and -1e-12 * span <= s.real <= span * (1 + 1e-12)):
             raise ValueError("t=%s is not on the integrated segment %s -> %s" % (t, t0, t1))
         idx = max(bisect.bisect_right(self.ts, s.real, key=lambda x: ((x - t0) / u).real) - 1, 0)
-        t_old, y_old = self.ts[idx], self.ys[idx]
+        t_old, y_old = self.ts[idx], self.states[idx]
         if idx == len(self.steps) or t == t_old:
-            return self.states[idx]
+            return y_old
         self.rhs_evals += 12
-        y = _attempt(len(y_old))(self.f, t_old, y_old, self.f(t_old, y_old), t - t_old)
-        return y[:self.width]
+        return _attempt(len(y_old))(self.f, t_old, y_old, self.f(t_old, y_old), t - t_old)
 
 
 def _rms_scaled(e, scale) -> float:
@@ -246,26 +244,26 @@ def _initial_step(f, t0, y0, f0, u, span, tol):
     return min(100 * h0, h1, span)
 
 
-def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None) -> RkSolution:
+def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf) -> RkSolution:
     """Integrate dy/dt = f(t, y) along the straight segment t0 -> t1, real or
     complex, either way: each step is a real length h in (0, |t1 - t0|],
     at most max_step, along u = (t1 - t0)/|t1 - t0| (1.0 for real t0 < t1),
-    with stage i at t + C[i]*h*u.  The last mesh point is t1 exactly, and
-    width, if given, cuts the states to their first width components.
+    with stage i at t + C[i]*h*u.  The last mesh point is t1 exactly.
 
     f receives the state as a tuple, of float if the segment, y0 and f(t0, y0)
     are all real (numbers.Real), else of complex, and may return any sequence of
     numbers of the same length; ValueError if f(t0, y0) has another, and before
     f is called on a span below h_min = 16*eps*max(|t0|, |t1|, 1), a tol not
-    finite or at most 10*eps, an empty y0, or a max_step below h_min or too
-    small for MAX_STEPS steps to cover the span.  tol is the absolute and the
-    relative tolerance: a step is accepted when Hairer's combined error norm
-    (below) is at most 1 with weights tol + tol*max(|y|, |y_new|).  err_ests
-    records, for each accepted step, the root mean square of the error vector
-    that norm accepted, so each is at most tol + tol*max|y| over the step's two
-    ends.  err_ests hold floats and ys tuples of one type, so callers need not
-    convert them.  The budget of MAX_STEPS attempted steps is checked before
-    each attempt, so arriving on the last one succeeds.
+    finite or at most 10*eps, an empty or non-finite y0, or a max_step below
+    h_min or too small for MAX_STEPS steps to cover the span.  tol is the
+    absolute and the relative tolerance: a step is accepted when Hairer's
+    combined error norm (below) is at most 1 with weights tol + tol*max(|y|,
+    |y_new|).  err_ests records, for each accepted step, the root mean square
+    of the error vector that norm accepted, so each is at most tol +
+    tol*max|y| over the step's two ends.  err_ests hold floats and states
+    tuples of one type, so callers need not convert them.  The budget of
+    MAX_STEPS attempted steps is checked before each attempt, so arriving on
+    the last one succeeds.
     """
     kind = complex if isinstance(t1 - t0, complex) else float
     t0, t1 = kind(t0), kind(t1)
@@ -281,6 +279,8 @@ def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None)
     n = len(y)
     if not n:
         raise ValueError("the state has no components")
+    if not all(map(cmath.isfinite, y)):
+        raise ValueError("the initial state %s is not finite" % (y,))
     if not span <= MAX_STEPS * max_step:  # also a max_step of 0, below 0 or NaN
         raise ValueError("max_step too small: the span takes %.3g steps, more than MAX_STEPS=%d"
                          % (span / max_step if max_step > 0 else math.inf, MAX_STEPS))
@@ -297,7 +297,7 @@ def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None)
         y = tuple(map(complex, y))  # f leaves the real line, so the flow is complex
     attempt = _attempt(n)
     ts = [t]
-    ys = [y]
+    states = [y]
     err_ests = [0.0]
     steps: list[float] = []
     err_prev = 1e-4
@@ -354,7 +354,7 @@ def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None)
             y = y_new
             f_cur = f_new  # FSAL
             ts.append(t)
-            ys.append(y)
+            states.append(y)
             err_ests.append(err_est)
             factor = MAX_FACTOR if err == 0 else SAFETY * err**-EXPONENT * err_prev**BETA
             factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
@@ -366,5 +366,4 @@ def integrate(f, t0, t1, y0, tol: float, max_step: float = math.inf, width=None)
             rejected = True
             h *= min(1.0, max(MIN_FACTOR, SAFETY * err**-EXPONENT))
 
-    return RkSolution(ts, ys, err_ests, steps, f, 2 + 12 * attempts, attempts - len(steps),
-                      width)
+    return RkSolution(ts, states, err_ests, steps, f, 2 + 12 * attempts, attempts - len(steps))

@@ -246,14 +246,14 @@ def test_theta_A_large_time_pattern():
 
 def test_omega_flow_zero_stays_zero():
     traj = omega_theta_flow((0, 0, 0), 0.5, 2.0, tol=1e-10)
-    assert max(max(abs(c) for c in om) for om in traj.states) == 0
+    assert max(max(abs(c) for c in y[:3]) for y in traj.states) == 0
 
 
 def test_omega_flow_reproduces_flat_family():
     q0 = 0.3
     traj = omega_theta_flow(flat_family(0.7, q0).omega, 0.7, 2.0, tol=1e-10)
     for t in (1.0, 1.5, 2.0):
-        got = traj.at(t)
+        got = traj.at(t)[:3]
         want = flat_family(t, q0).omega
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-7
 
@@ -268,8 +268,8 @@ def test_omega_flow_residual_along_dense_output():
         tm = 0.5 * (traj.ts[k] + traj.ts[k + 1])
         if tm - h <= traj.ts[0] or tm + h >= traj.ts[-1]:
             continue
-        fd = [(u - d) / (2 * h) for u, d in zip(traj.at(tm + h), traj.at(tm - h))]
-        field = omega_field(traj.at(tm), tm)
+        fd = [(u - d) / (2 * h) for u, d in zip(traj.at(tm + h)[:3], traj.at(tm - h)[:3])]
+        field = omega_field(traj.at(tm)[:3], tm)
         assert max(abs(a - b) for a, b in zip(fd, field)) < 10 * tol
 
 
@@ -288,11 +288,47 @@ def test_omega_flow_endpoint_matches_the_theta_pinned_flow():
             ref = integrate(lambda t, y: omega_field(y, t), t0, t1, omega, tol=1e-14)
         except IntegrationBlowUp:
             continue
-        draws.append((omega, t0, t1, ref.ys[-1]))
+        draws.append((omega, t0, t1, ref.states[-1]))
     for tol in (1e-8, 1e-10, 1e-12):
         for omega, t0, t1, want in draws:
-            got = omega_theta_flow(omega, t0, t1, tol=tol).states[-1]
+            got = omega_theta_flow(omega, t0, t1, tol=tol).states[-1][:3]
             assert max(abs(a - b) for a, b in zip(got, want)) <= 10 * tol * max(map(abs, want))
+
+
+def flat_family_flows(seed, count):
+    """(q0, t0, t1, tol) for count seeded flat-family flows, drawn as the
+    benchmark draws them: q0 in [0.1, 1], t0 in [0.4, 1], t1 - t0 in
+    [0.5, 2], each at tol 1e-8, 1e-10 and 1e-12 in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        q0, t0 = rng.uniform(0.1, 1), rng.uniform(0.4, 1)
+        yield q0, t0, t0 + rng.uniform(0.5, 2), (1e-8, 1e-10, 1e-12)[k % 3]
+
+
+def test_omega_flow_restarts_from_its_last_state():
+    # a path is a loop of integrations, each from the last state of the one
+    # before with the flow's own f: split at tm, the flow ends within
+    # tol (1 + max|y|) of the one-piece flow (worst seen: 0.020 of that)
+    rng = random.Random(12)
+    for q0, t0, t1, tol in flat_family_flows(11, 60):
+        tm = t0 + rng.uniform(0.1, 0.9) * (t1 - t0)
+        first = omega_theta_flow(flat_family(t0, q0).omega, t0, tm, tol=tol)
+        assert len(first.states[-1]) == 6 and first.ts[-1] == tm
+        second = integrate(first.f, tm, t1, first.states[-1], tol)
+        want = omega_theta_flow(flat_family(t0, q0).omega, t0, t1, tol=tol).states[-1]
+        got = second.states[-1]
+        assert max(abs(a - b) for a, b in zip(got, want)) <= tol * (1 + max(map(abs, want)))
+
+
+def test_omega_flow_keeps_A_on_the_theta_solution():
+    # A is integrated with Omega from the theta A at t0, and each mesh state's
+    # A stays within tol (1 + max|y|) of the theta solution there (worst
+    # seen: 0.13 of that)
+    for q0, t0, t1, tol in flat_family_flows(13, 30):
+        traj = omega_theta_flow(flat_family(t0, q0).omega, t0, t1, tol=tol)
+        for t, y in zip(traj.ts, traj.states):
+            drift = max(abs(a - b) for a, b in zip(y[3:], theta_A_solution(t)))
+            assert drift <= tol * (1 + max(map(abs, y))), (q0, t0, t1, tol, t)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ order and equal to the plain tuple of their values.  The integration
 meshes are plain classes whose length is the number of mesh points."""
 
 import importlib.util
+import itertools
 import pathlib
 
 import pytest
@@ -48,8 +49,8 @@ def test_meshes_are_sized_by_their_points():
     assert all(type(y) is tuple for y in traj.states + flow.states)
     assert traj.at(1.2j) is traj.states[0]  # the mesh state itself, not a copy
     assert flow.at(0.7) is flow.states[0]
-    assert traj.states is traj.ys
-    assert flow.states == [y[:3] for y in flow.ys]  # the Omega of the Omega/A states
+    assert {len(y) for y in traj.states} == {3} and {len(y) for y in flow.states} == {6}
+    assert flow.states[0] == (1.0, 0.5, 0.25, *bianchi.theta_A_solution(0.7))  # (*Omega, *A)
     for mesh in (traj, flow):
         with pytest.raises(AttributeError):
             mesh.extra = None
@@ -58,14 +59,28 @@ def test_meshes_are_sized_by_their_points():
         flow.omegas = []
 
 
+def load_bench_module(name):
+    """A module of the benchmark, bench/<name>.py, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_bindings_resolve():
     # the benchmark's tracer patches these (owner, attribute) pairs in place
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench_module("tracer")
     bindings = [b for _, group in tracer.library_patches() for b in group]
     assert bindings
     for owner, attr in bindings:
         assert callable(getattr(owner, attr)), (owner, attr)
     assert "at" in vars(rk.RkSolution)
+
+
+def test_numeric_flow_oracles_pass():
+    # the benchmark's numeric-flow oracles read the meshes: the DH flow's
+    # states and the Omega flow's omegas, at() included
+    workloads = load_bench_module("workloads")
+    verdicts = [(name, run()) for name, run in itertools.islice(workloads.numeric_flow(1), 60)]
+    assert [v for v in verdicts if v[1] != workloads.OK] == []

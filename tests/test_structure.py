@@ -3,11 +3,14 @@ is the one numeric front door to theta2-theta4, qseries.theta_term_count
 the one rule for how many terms a theta sum takes, no halphen module reaches
 into another's private names, a parameter takes one type rather than a
 record or its tuple, integration takes one tolerance, every exported name
-has a consumer, and every module-level import is read."""
+has a consumer, every module-level import is read, and every annotation
+resolves."""
 
 import ast
 import importlib
+import inspect
 import pathlib
+import typing
 
 import halphen
 from halphen import rk
@@ -279,3 +282,21 @@ def test_every_module_level_import_is_read():
         for node in tree.body:
             unread.update((module, name) for name in imported_names(node) if name not in read)
     assert unread == PATCHED_IMPORTS
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation in its module's
+    # namespace, where a module bound only inside a function is missing
+    unresolved = []
+    for module in MODULES:
+        namespace = importlib.import_module("halphen." + module)
+        for value in list(vars(namespace).values()):
+            members = vars(value).values() if inspect.isclass(value) else [value]
+            for fn in members:
+                fn = getattr(fn, "fget", None) or getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn) and fn.__module__ == namespace.__name__:
+                    try:
+                        typing.get_type_hints(fn)
+                    except NameError as exc:
+                        unresolved.append((module, fn.__qualname__, str(exc)))
+    assert unresolved == []
